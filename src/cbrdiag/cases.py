@@ -132,11 +132,18 @@ class CaseBase:
 
     The snapshot may bundle target cases next to the sources; retrieval only
     ever scores against the sources.
+
+    A case base compiles its sources into scoring records on its first query
+    and keeps them, so neither it nor the mappings it holds may be mutated
+    afterwards; build a new one instead (``dataclasses.replace`` starts with
+    no records). Concurrent first queries may both compile, which is
+    harmless: either result serves.
     """
 
     taxonomy: "Taxonomy"
     profiles: Mapping[str, "FuzzyProfile"] = field(default_factory=dict)
     cases: Mapping[str, Case] = field(default_factory=dict)
+    _compiled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def sources(self) -> list[Case]:
         return [self.cases[cid] for cid in sorted(self.cases) if self.cases[cid].kind is CaseKind.SOURCE]

@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .measures import RetrievalResult, ScoringContext, ScoringMode, retrieval_measure
-from .pipeline import Correction, DiagnosisOutcome, diagnose, prepare_target, retrieve
+from .pipeline import Correction, DiagnosisOutcome, _retrieve, diagnose, prepare_target
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -126,10 +126,7 @@ def _query_outcome(args: argparse.Namespace, case_base: CaseBase, target: Case) 
         if mode is not ScoringMode.ENHANCED:
             raise ConfigurationError("adaptation requires enhanced mode")
         return diagnose(target, case_base, top_k=args.top_k)
-    corrections: list[Correction] = []
-    if mode is ScoringMode.ENHANCED:
-        _, corrections = prepare_target(target, case_base.profiles)
-    ranking = retrieve(target, case_base, mode, args.top_k)
+    _, corrections, ranking = _retrieve(target, case_base, mode, args.top_k)
     return DiagnosisOutcome(
         selected_case_id=None,
         solution=None,

@@ -13,6 +13,7 @@ problem is reported with the field path where it was found.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping, Optional
 
 from .adaptation import AdaptationTerm
@@ -75,7 +76,13 @@ def _opt_str(value: Any, path: str) -> Optional[str]:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _bool(value: Any, path: str) -> bool:
@@ -303,7 +310,7 @@ def encode_case_base(case_base: CaseBase) -> str:
         ],
         "cases": [_encode_case(case_base.cases[cid]) for cid in sorted(case_base.cases)],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _encode_local_scores(row: LocalScores) -> dict:
@@ -357,7 +364,7 @@ def encode_outcome(outcome: DiagnosisOutcome) -> str:
             for sc in outcome.ranking
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def decode_outcome(text: str) -> DiagnosisOutcome:

@@ -9,7 +9,9 @@ far bound of the subset it falls in.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import FuzzyDomainError
@@ -85,6 +87,9 @@ class FuzzyProfile:
             raise FuzzyDomainError(self.descriptor_id, x, self.domain_lower, self.domain_upper)
 
 
+_lower = attrgetter("lower")
+
+
 def membership(x: float, profile: FuzzyProfile) -> float:
     """Triangular membership degree of ``x``: 1 at the prototype, falling
     linearly to 0 at ``half_width`` away from it."""
@@ -102,24 +107,15 @@ def classify_subset(x: float, profile: FuzzyProfile) -> Optional[FuzzySubset]:
     to the subset just above it, when one exists.
     """
     profile.check_domain(x)
-    for s in profile.subsets:
-        if s.lower <= x <= s.upper:
-            return s
-    p = profile.prototype
-    for s in profile.subsets:
-        if s.upper < p:
-            barrier = min(
-                [t.lower for t in profile.subsets if t.lower > s.upper] + [p]
-            )
-            if s.lower <= x < barrier:
-                return s
-        elif s.lower > p:
-            barrier = max(
-                [t.upper for t in profile.subsets if t.upper < s.lower] + [p]
-            )
-            if barrier <= x <= s.upper:
-                return s
-    return None
+    subsets = profile.subsets
+    # Subsets are disjoint and sorted, so subsets[:i] start at or below x and
+    # lie below it unless subsets[i - 1] covers x; subsets[i:] start above x.
+    i = bisect_right(subsets, x, key=_lower)
+    if i and x <= subsets[i - 1].upper:
+        return subsets[i - 1]
+    if x < profile.prototype:
+        return subsets[i - 1] if i else None
+    return subsets[i] if i < len(subsets) else None
 
 
 def correct_imprecise(x: float, profile: FuzzyProfile) -> float:

@@ -10,17 +10,28 @@ values, no exclusions, numeric closeness as linear distance over the value
 domain. The enhanced mode scores corrected values (the pipeline corrects the
 target first), compares numerics by fuzzy class equality, and drops
 descriptors whose value is uncertain on either side from both sums.
+
+Scoring runs over per-descriptor records rather than descriptors: the kind,
+label or magnitude, unit, casefolded state, operating mode, uncertain flag,
+and the fuzzy subset of a profiled in-domain numeric. A case base compiles
+its sources into records once; a target is compiled per query. One kernel
+scores a target against a source from their records, either for the score
+alone or recording the per-descriptor breakdown, which is what
+:func:`retrieval_measure` returns.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cases import AlignmentPair, Case, NumericValue, SymbolicValue, align
+from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, SymbolicValue
 from .errors import MissingProfileError
-from .fuzzy import FuzzyProfile, same_class
+from .fuzzy import FuzzyProfile, classify_subset, same_class
 from .taxonomy import Taxonomy
 
 
@@ -56,32 +67,6 @@ class RetrievalResult:
     breakdown: list[LocalScores]
 
 
-def phi_presence(pair: Optional[AlignmentPair], mode: ScoringMode) -> int:
-    """1 iff the descriptor is co-present; in enhanced mode an uncertain
-    value on either side disqualifies it entirely."""
-    if pair is None:
-        return 0
-    if mode is ScoringMode.ENHANCED and (pair.target.flags.uncertain or pair.source.flags.uncertain):
-        return 0
-    return 1
-
-
-def phi_state(pair: AlignmentPair) -> int:
-    """1 iff both states are absent or equal ignoring case."""
-    ts, ss = pair.target.state, pair.source.state
-    if ts is None and ss is None:
-        return 1
-    if ts is None or ss is None:
-        return 0
-    return 1 if ts.casefold() == ss.casefold() else 0
-
-
-def phi_om(pair: AlignmentPair) -> int:
-    """1 iff operating modes match exactly; a one-sided blank is a mismatch
-    (it cannot certify agreement)."""
-    return 1 if pair.target.operating_mode is pair.source.operating_mode else 0
-
-
 def phi_value(
     pair: AlignmentPair,
     taxonomy: Taxonomy,
@@ -111,11 +96,140 @@ def phi_value(
             return 1.0 if same_class(x, y, profile) else 0.0
         if profile is None:
             return 0.0
-        span = profile.domain_upper - profile.domain_lower
-        if span <= 0:
-            return 0.0
-        return max(0.0, min(1.0, 1.0 - abs(x - y) / span))
+        return _linear_closeness(x, y, profile)
     return 0.0
+
+
+def _linear_closeness(x: float, y: float, profile: FuzzyProfile) -> float:
+    """Typical-mode closeness of two magnitudes: linear distance over the
+    profile's domain span."""
+    span = profile.domain_upper - profile.domain_lower
+    if span <= 0:
+        return 0.0
+    return max(0.0, min(1.0, 1.0 - abs(x - y) / span))
+
+
+# Record kinds. An _OTHER record is one the kernel cannot score on its own
+# (an unknown label, a numeric without a profile, outside its domain or not
+# finite, or an unknown value type): its pairs go through phi_value on the
+# real descriptors, so they return or raise exactly what phi_value does.
+_SYMBOLIC = "symbolic"
+_NUMERIC = "numeric"
+_OTHER = "other"
+
+
+def _record(d: Descriptor, taxonomy: Taxonomy, profile: Optional[FuzzyProfile]) -> tuple:
+    """A descriptor's scoring record: (kind, label or magnitude, unit,
+    casefolded state, operating-mode code, uncertain flag, fuzzy subset
+    label).
+
+    Records hold only strings, numbers, booleans and None, so the garbage
+    collector can stop tracking them: a compiled case base adds little to
+    its later passes.
+    """
+    value = d.value
+    # Interned so that the many equal states of a case base share one string.
+    state = None if d.state is None else sys.intern(d.state.casefold())
+    om = d.operating_mode.value
+    uncertain = d.flags.uncertain
+    if isinstance(value, SymbolicValue) and taxonomy.contains(value.label):
+        return (_SYMBOLIC, value.label, None, state, om, uncertain, None)
+    if (
+        isinstance(value, NumericValue)
+        and profile is not None
+        and math.isfinite(value.magnitude)
+        and profile.domain_lower <= value.magnitude <= profile.domain_upper
+    ):
+        subset = classify_subset(value.magnitude, profile)
+        label = None if subset is None else subset.label
+        return (_NUMERIC, value.magnitude, value.unit, state, om, uncertain, label)
+    return (_OTHER, None, None, state, om, uncertain, None)
+
+
+def _source_records(source: Case, ctx: ScoringContext) -> dict[str, tuple]:
+    return {
+        did: _record(d, ctx.taxonomy, ctx.profiles.get(did)) for did, d in source.descriptors.items()
+    }
+
+
+def _target_records(target: Case, ctx: ScoringContext) -> list[tuple]:
+    """The target's records in descriptor-id order, each led by its id and
+    followed by a per-query memo of label similarities (symbolic) or the
+    profile (numeric)."""
+    records = []
+    for did in sorted(target.descriptors):
+        profile = ctx.profiles.get(did)
+        record = _record(target.descriptors[did], ctx.taxonomy, profile)
+        records.append((did, *record, {} if record[0] is _SYMBOLIC else profile))
+    return records
+
+
+def _score(
+    target: Case,
+    target_records: list[tuple],
+    source: Case,
+    source_records: Mapping[str, tuple],
+    ctx: ScoringContext,
+    rows: Optional[list[LocalScores]] = None,
+) -> float:
+    """The retrieval kernel: the score of one source, appending one
+    breakdown row per co-present descriptor to ``rows`` when given.
+
+    Sums run over co-present descriptors in id order. Without ``rows`` the
+    value factor of a pair whose state or mode disagrees is not evaluated
+    unless it could raise: its product is 0 whatever the value.
+    """
+    enhanced = ctx.mode is ScoringMode.ENHANCED
+    numerator = 0.0
+    denominator = 0
+    for t in target_records:
+        s = source_records.get(t[0])
+        if s is None:
+            continue
+        did, t_kind, t_key, t_unit, t_state, t_om, t_uncertain, t_subset, t_aux = t
+        s_kind, s_key, s_unit, s_state, s_om, s_uncertain, s_subset = s
+        # In enhanced mode an uncertain value on either side disqualifies the pair.
+        presence = 0 if enhanced and (t_uncertain or s_uncertain) else 1
+        # States agree when both are absent or equal ignoring case.
+        state = 1 if t_state == s_state else 0
+        # Modes must match exactly: a one-sided blank cannot certify agreement.
+        om = 1 if t_om == s_om else 0
+        if not presence:
+            value = 0.0
+        elif t_kind is _OTHER or s_kind is _OTHER:
+            pair = AlignmentPair(
+                descriptor_id=did, target=target.descriptors[did], source=source.descriptors[did]
+            )
+            value = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
+        elif t_kind is not s_kind or (rows is None and not (state and om)):
+            value = 0.0  # kinds differ, or the product is 0 whatever the value
+        elif t_kind is _SYMBOLIC:
+            value = t_aux.get(s_key)
+            if value is None:
+                value = t_aux[s_key] = ctx.taxonomy.value_similarity(t_key, s_key)
+        elif t_unit != s_unit:
+            value = 0.0
+        elif t_key == s_key:
+            value = 1.0
+        elif enhanced:
+            value = 1.0 if t_subset is not None and t_subset == s_subset else 0.0
+        else:
+            value = _linear_closeness(t_key, s_key, t_aux)
+        product = value * state * presence * om
+        if rows is not None:
+            rows.append(
+                LocalScores(
+                    descriptor_id=did,
+                    phi_value=value,
+                    phi_state=state,
+                    phi_presence=presence,
+                    phi_om=om,
+                    product=product,
+                )
+            )
+        numerator += product
+        denominator += presence
+    return numerator / denominator if denominator else 0.0
 
 
 def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> RetrievalResult:
@@ -128,28 +242,39 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     co-present the source is incomparable and scores 0.
     """
     rows: list[LocalScores] = []
-    numerator = 0.0
-    denominator = 0
-    for pair in align(target, source):
-        presence = phi_presence(pair, ctx.mode)
-        state = phi_state(pair)
-        om = phi_om(pair)
-        if presence == 0:
-            value = 0.0
-        else:
-            value = phi_value(pair, ctx.taxonomy, ctx.profiles.get(pair.descriptor_id), ctx.mode)
-        product = value * state * presence * om
-        rows.append(
-            LocalScores(
-                descriptor_id=pair.descriptor_id,
-                phi_value=value,
-                phi_state=state,
-                phi_presence=presence,
-                phi_om=om,
-                product=product,
-            )
-        )
-        numerator += product
-        denominator += presence
-    score = numerator / denominator if denominator else 0.0
+    score = _score(target, _target_records(target, ctx), source, _source_records(source, ctx), ctx, rows)
     return RetrievalResult(score=score, breakdown=rows)
+
+
+def _compiled_sources(case_base: CaseBase) -> tuple[tuple[Case, dict[str, tuple]], ...]:
+    """The case base's sources in id order, each with its records; compiled
+    on the first call and cached on the case base."""
+    compiled = case_base._compiled
+    if compiled is None:
+        ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
+        compiled = tuple((source, _source_records(source, ctx)) for source in case_base.sources())
+        object.__setattr__(case_base, "_compiled", compiled)
+    return compiled
+
+
+def rank_sources(
+    target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int
+) -> list[tuple[str, RetrievalResult]]:
+    """The ``top_k`` best sources by retrieval score, ties broken by case id,
+    each with the same result :func:`retrieval_measure` gives.
+
+    Every source is scored; only the returned ones get a breakdown.
+    """
+    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+    compiled = _compiled_sources(case_base)
+    records = _target_records(target, ctx)
+    scores = [_score(target, records, source, source_records, ctx) for source, source_records in compiled]
+    # nlargest keeps equal scores in input order, which is case-id order.
+    best = heapq.nlargest(top_k, range(len(scores)), key=scores.__getitem__)
+    ranked = []
+    for i in best:
+        source, source_records = compiled[i]
+        rows: list[LocalScores] = []
+        score = _score(target, records, source, source_records, ctx, rows)
+        ranked.append((source.id, RetrievalResult(score=score, breakdown=rows)))
+    return ranked

@@ -16,7 +16,7 @@ from .adaptation import AdaptationTerm, adaptation_measure
 from .cases import Case, CaseBase, NumericValue, Solution
 from .errors import ConfigurationError, MissingProfileError
 from .fuzzy import FuzzyProfile, correct_imprecise
-from .measures import LocalScores, ScoringContext, ScoringMode, retrieval_measure
+from .measures import LocalScores, ScoringContext, ScoringMode, rank_sources
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,21 @@ def prepare_target(
     return prepared, corrections
 
 
-def _rank_sources(target: Case, case_base: CaseBase, ctx: ScoringContext) -> list[ScoredCase]:
-    scored = []
-    for source in case_base.sources():
-        result = retrieval_measure(target, source, ctx)
-        scored.append(ScoredCase(case_id=source.id, m_r=result.score, breakdown_r=result.breakdown))
-    scored.sort(key=lambda sc: (-sc.m_r, sc.case_id))
-    return scored
+def _retrieve(
+    target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int
+) -> tuple[Case, list[Correction], list[ScoredCase]]:
+    """Retrieval as :func:`retrieve` runs it, also returning the target as
+    scored and the correction log."""
+    if top_k < 1:
+        raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
+    corrections: list[Correction] = []
+    if mode is ScoringMode.ENHANCED:
+        target, corrections = prepare_target(target, case_base.profiles)
+    ranking = [
+        ScoredCase(case_id=case_id, m_r=result.score, breakdown_r=result.breakdown)
+        for case_id, result in rank_sources(target, case_base, mode, top_k)
+    ]
+    return target, corrections, ranking
 
 
 def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -> list[ScoredCase]:
@@ -89,12 +97,7 @@ def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -
     In enhanced mode the target is corrected first. An empty case base gives
     an empty list.
     """
-    if top_k < 1:
-        raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
-    if mode is ScoringMode.ENHANCED:
-        target, _ = prepare_target(target, case_base.profiles)
-    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
-    return _rank_sources(target, case_base, ctx)[:top_k]
+    return _retrieve(target, case_base, mode, top_k)[2]
 
 
 def diagnose(target: Case, case_base: CaseBase, top_k: int = 3) -> DiagnosisOutcome:
@@ -105,13 +108,10 @@ def diagnose(target: Case, case_base: CaseBase, top_k: int = 3) -> DiagnosisOutc
     the selected case's solution, both breakdowns for every retrieved case,
     and the correction log.
     """
-    if top_k < 1:
-        raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
-    prepared, corrections = prepare_target(target, case_base.profiles)
+    prepared, corrections, retrieved = _retrieve(target, case_base, ScoringMode.ENHANCED, top_k)
     ctx = ScoringContext(
         taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=ScoringMode.ENHANCED
     )
-    retrieved = _rank_sources(prepared, case_base, ctx)[:top_k]
     ranking: list[ScoredCase] = []
     for sc in retrieved:
         result = adaptation_measure(prepared, case_base.cases[sc.case_id], ctx)

@@ -28,7 +28,9 @@ class Taxonomy:
         for name, par in parent.items():
             if par is not None and par not in parent:
                 raise ValueError(f"taxonomy node {name!r} has unknown parent {par!r}")
-        depth: dict[str, int] = {roots[0]: 0}
+        # Root-to-node path of every node: depths and common ancestors are
+        # read from these without walking parent pointers per comparison.
+        path: dict[str, tuple[str, ...]] = {roots[0]: (roots[0],)}
         children: dict[str, list[str]] = {n: [] for n in parent}
         for name, par in parent.items():
             if par is not None:
@@ -37,13 +39,13 @@ class Taxonomy:
         while frontier:
             node = frontier.pop()
             for child in children[node]:
-                depth[child] = depth[node] + 1
+                path[child] = path[node] + (child,)
                 frontier.append(child)
-        if len(depth) != len(parent):
-            orphaned = sorted(set(parent) - set(depth))
+        if len(path) != len(parent):
+            orphaned = sorted(set(parent) - set(path))
             raise ValueError(f"taxonomy contains a cycle through {orphaned!r}")
         self._parent = parent
-        self._depth = depth
+        self._path = path
         self._root = roots[0]
 
     def __eq__(self, other: object) -> bool:
@@ -65,28 +67,26 @@ class Taxonomy:
 
     def depth(self, name: str) -> int:
         self._require(name)
-        return self._depth[name]
+        return len(self._path[name]) - 1
 
     def _require(self, name: str) -> None:
         if name not in self._parent:
             raise UnknownLabelError(name)
 
-    def _ancestors_or_self(self, name: str) -> list[str]:
-        chain = [name]
-        node: Optional[str] = name
-        while (node := self._parent[node]) is not None:  # type: ignore[index]
-            chain.append(node)
-        return chain
+    def _common_depth(self, a: str, b: str) -> int:
+        """Depth of the lowest common ancestor of two known labels."""
+        depth = -1
+        for x, y in zip(self._path[a], self._path[b]):
+            if x != y:
+                break
+            depth += 1
+        return depth
 
     def lowest_common_ancestor(self, a: str, b: str) -> str:
         """Deepest node that is an ancestor-or-self of both labels."""
         self._require(a)
         self._require(b)
-        ancestors_a = set(self._ancestors_or_self(a))
-        node = b
-        while node not in ancestors_a:
-            node = self._parent[node]  # type: ignore[assignment]
-        return node
+        return self._path[a][self._common_depth(a, b)]
 
     def value_similarity(self, a: str, b: str) -> float:
         """Depth-ratio similarity of two labels, in [0, 1].
@@ -98,5 +98,4 @@ class Taxonomy:
         self._require(b)
         if a == b:
             return 1.0
-        lca = self.lowest_common_ancestor(a, b)
-        return 2.0 * self._depth[lca] / (self._depth[a] + self._depth[b])
+        return 2.0 * self._common_depth(a, b) / (len(self._path[a]) + len(self._path[b]) - 2)

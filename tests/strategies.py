@@ -2,9 +2,13 @@
 
 Magnitudes and profile parameters are drawn as integers so that score
 comparisons against the naive reference stay bit-exact without having to
-reason about pathological floats. Every numeric descriptor id gets one fuzzy
-profile and one unit that are consistent across the whole case base, and all
-drawn magnitudes stay inside the profile domain.
+reason about pathological floats. A descriptor id is either symbolic
+everywhere or has one fuzzy profile for the whole case base; every numeric
+descriptor has its id's profile and a magnitude inside the profile domain.
+
+Cases still disagree in ways scoring must handle: a profiled id may be
+symbolic in some cases, numerics of one id may carry different units, and
+states may differ only in letter case.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ def fuzzy_profiles(draw, descriptor_id: str) -> FuzzyProfile:
 
 @st.composite
 def descriptor_schemas(draw) -> dict[str, FuzzyProfile | None]:
-    """Map of descriptor id to its fuzzy profile (numeric) or None (symbolic)."""
+    """Map of descriptor id to its fuzzy profile, or None for an id that is
+    symbolic in every case."""
     count = draw(st.integers(min_value=1, max_value=12))
     schema: dict[str, FuzzyProfile | None] = {}
     for i in range(count):
@@ -91,8 +96,9 @@ def descriptors(
     taxonomy: Taxonomy,
     allow_flags: bool = True,
 ) -> Descriptor:
-    if profile is not None:
-        value = NumericValue(magnitude=float(draw(st.integers(0, 100))), unit="u")
+    if profile is not None and draw(st.sampled_from([True, True, True, False])):
+        unit = draw(st.sampled_from(["u", "u", "u", "v"]))
+        value = NumericValue(magnitude=float(draw(st.integers(0, 100))), unit=unit)
         imprecise = allow_flags and draw(st.booleans())
     else:
         value = SymbolicValue(label=draw(st.sampled_from(taxonomy.nodes())))
@@ -102,7 +108,7 @@ def descriptors(
         id=did,
         name=did.upper(),
         value=value,
-        state=draw(st.sampled_from([None, "s1", "s2"])),
+        state=draw(st.sampled_from([None, "s1", "S1", "s2"])),
         operating_mode=draw(st.sampled_from(list(OperatingMode))),
         flags=ImperfectionFlags(imprecise=imprecise, uncertain=uncertain),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from cbrdiag import (
     DocumentSyntaxError,
     DocumentValidationError,
     ImperfectionFlags,
+    NumericValue,
     OperatingMode,
     Taxonomy,
     decode_case_base,
@@ -225,3 +227,37 @@ def test_taxonomy_survives_round_trip():
     taxonomy = Taxonomy([("root", None), ("mid", "root"), ("leaf", "mid")])
     case_base = CaseBase(taxonomy=taxonomy, profiles={}, cases={})
     assert decode_case_base(encode_case_base(case_base)).taxonomy == taxonomy
+
+
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["nan", "inf", "-inf", "1e400"]
+)
+@pytest.mark.parametrize(
+    "path", ["$.cases[3].descriptors[3].value.numeric", "$.fuzzy_profiles[0].domain_lower"]
+)
+def test_non_finite_number_rejected_with_path(fixture_text, token, path):
+    doc = json.loads(fixture_text)
+    assert doc["cases"][3]["descriptors"][3]["id"] == "ds3"
+    if path.startswith("$.cases"):
+        doc["cases"][3]["descriptors"][3]["value"]["numeric"] = "MARK"
+    else:
+        doc["fuzzy_profiles"][0]["domain_lower"] = "MARK"
+    text = json.dumps(doc).replace('"MARK"', token)
+    with pytest.raises(DocumentSyntaxError) as excinfo:
+        decode_case_base(text)
+    assert str(excinfo.value).startswith(f"{path}: expected a finite number, got ")
+
+
+def test_encoders_refuse_non_finite_numbers(engine_case_base):
+    target = engine_case_base.cases["target"]
+    ds3 = target.descriptors["ds3"]
+    bad = replace(
+        target,
+        descriptors={**target.descriptors, "ds3": replace(ds3, value=NumericValue(float("nan"), "°C"))},
+    )
+    with pytest.raises(ValueError):
+        encode_case_base(replace(engine_case_base, cases={**engine_case_base.cases, "target": bad}))
+    outcome = diagnose(target, engine_case_base)
+    corrections = [replace(outcome.corrections_applied[0], original=float("inf"))]
+    with pytest.raises(ValueError):
+        encode_outcome(replace(outcome, corrections_applied=corrections))

@@ -13,6 +13,7 @@ from cbrdiag import (
     membership,
     same_class,
 )
+from naive_reference import naive_classify
 from strategies import fuzzy_profiles, magnitudes
 
 
@@ -153,3 +154,50 @@ def test_same_class_transitive(data):
     x, y, z = (float(data.draw(st.integers(min_value=0, max_value=100))) for _ in range(3))
     if same_class(x, y, profile) and same_class(y, z, profile):
         assert same_class(x, z, profile)
+
+
+@st.composite
+def float_profiles(draw) -> FuzzyProfile:
+    """Profiles over [0, 100] with non-integer bounds, single-point subsets
+    and a prototype anywhere, gaps included."""
+    finite = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+    bounds = sorted(draw(st.lists(finite, min_size=0, max_size=8, unique=True)))
+    subsets = []
+    i = 0
+    while i < len(bounds):
+        if i + 1 < len(bounds) and draw(st.booleans()):
+            subsets.append(FuzzySubset(label=f"S{i}", lower=bounds[i], upper=bounds[i + 1]))
+            i += 2
+        else:
+            subsets.append(FuzzySubset(label=f"S{i}", lower=bounds[i], upper=bounds[i]))
+            i += 1
+    return FuzzyProfile(
+        descriptor_id="d",
+        domain_lower=0.0,
+        domain_upper=100.0,
+        prototype=draw(st.one_of(finite, st.sampled_from(bounds or [50.0]))),
+        half_width=draw(st.floats(min_value=0.5, max_value=50.0)),
+        subsets=subsets,
+    )
+
+
+@given(float_profiles(), st.data())
+def test_classify_matches_naive_reference(profile, data):
+    landmarks = [profile.prototype, profile.domain_lower, profile.domain_upper]
+    for s in profile.subsets:
+        landmarks += [s.lower, s.upper, (s.lower + s.upper) / 2]
+    for a, b in zip(profile.subsets, profile.subsets[1:]):
+        landmarks.append((a.upper + b.lower) / 2)
+    x = data.draw(
+        st.one_of(
+            st.sampled_from(landmarks),
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        )
+    )
+    assert classify_subset(x, profile) == naive_classify(x, profile)
+
+
+def test_classify_rejects_out_of_domain(temperature):
+    with pytest.raises(FuzzyDomainError) as err:
+        classify_subset(-0.5, temperature)
+    assert str(err.value) == "value -0.5 for descriptor 'ds3' outside domain [0.0, 100.0]"

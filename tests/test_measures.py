@@ -7,17 +7,21 @@ from hypothesis import given
 
 from cbrdiag import (
     AlignmentPair,
+    Case,
+    CaseKind,
     Descriptor,
     ImperfectionFlags,
+    LocalScores,
     MissingProfileError,
     NumericValue,
     OperatingMode,
     ScoringContext,
     ScoringMode,
     SymbolicValue,
+    Taxonomy,
     retrieval_measure,
 )
-from cbrdiag.measures import phi_om, phi_presence, phi_state, phi_value
+from cbrdiag.measures import phi_value
 from strategies import case_bundles, clean_cases
 
 
@@ -34,43 +38,66 @@ def num(did: str, magnitude: float, unit: str = "°C", **kwargs) -> Descriptor:
 
 
 UNCERTAIN = ImperfectionFlags(uncertain=True)
+TINY = Taxonomy([("root", None), ("x", "root"), ("works", "root")])
+
+
+def factors(target: Descriptor, source: Descriptor, mode: ScoringMode) -> LocalScores:
+    """The one breakdown row of two cases that each hold one descriptor."""
+    t = Case(id="t", kind=CaseKind.TARGET, descriptors={target.id: target})
+    s = Case(id="s", kind=CaseKind.SOURCE, descriptors={source.id: source})
+    (row,) = retrieval_measure(t, s, ScoringContext(taxonomy=TINY, profiles={}, mode=mode)).breakdown
+    return row
 
 
 def test_phi_presence_absent_descriptor():
-    assert phi_presence(None, ScoringMode.TYPICAL) == 0
-    assert phi_presence(None, ScoringMode.ENHANCED) == 0
+    # a descriptor recorded on one side only gets no row and adds nothing
+    target = Case(id="t", kind=CaseKind.TARGET, descriptors={"d": sym("d", "works")})
+    source = Case(id="s", kind=CaseKind.SOURCE, descriptors={"e": sym("e", "works")})
+    for mode in ScoringMode:
+        result = retrieval_measure(target, source, ScoringContext(taxonomy=TINY, profiles={}, mode=mode))
+        assert result.breakdown == []
+        assert result.score == 0.0
 
 
 def test_phi_presence_co_present():
-    pair = make_pair(sym("d", "works"), sym("d", "works"))
-    assert phi_presence(pair, ScoringMode.TYPICAL) == 1
-    assert phi_presence(pair, ScoringMode.ENHANCED) == 1
+    pair = (sym("d", "works"), sym("d", "works"))
+    assert factors(*pair, ScoringMode.TYPICAL).phi_presence == 1
+    assert factors(*pair, ScoringMode.ENHANCED).phi_presence == 1
 
 
 def test_phi_presence_uncertain_excluded_only_in_enhanced():
-    pair = make_pair(sym("d", "works", flags=UNCERTAIN), sym("d", "works"))
-    assert phi_presence(pair, ScoringMode.TYPICAL) == 1
-    assert phi_presence(pair, ScoringMode.ENHANCED) == 0
-    flipped = make_pair(sym("d", "works"), sym("d", "works", flags=UNCERTAIN))
-    assert phi_presence(flipped, ScoringMode.ENHANCED) == 0
+    pair = (sym("d", "works", flags=UNCERTAIN), sym("d", "works"))
+    assert factors(*pair, ScoringMode.TYPICAL).phi_presence == 1
+    assert factors(*pair, ScoringMode.ENHANCED).phi_presence == 0
+    flipped = (sym("d", "works"), sym("d", "works", flags=UNCERTAIN))
+    assert factors(*flipped, ScoringMode.ENHANCED).phi_presence == 0
+
+
+def phi_state(target: Descriptor, source: Descriptor) -> int:
+    return factors(target, source, ScoringMode.TYPICAL).phi_state
+
+
+def phi_om(target: Descriptor, source: Descriptor) -> int:
+    return factors(target, source, ScoringMode.TYPICAL).phi_om
 
 
 def test_phi_state_cases():
-    assert phi_state(make_pair(sym("d", "x", state="Trained"), sym("d", "x", state="Trained"))) == 1
-    assert phi_state(make_pair(sym("d", "x", state="trained"), sym("d", "x", state="TRAINED"))) == 1
-    assert phi_state(make_pair(sym("d", "x"), sym("d", "x"))) == 1
-    assert phi_state(make_pair(sym("d", "x", state="Noise presence"), sym("d", "x", state="Gaz circulating"))) == 0
-    assert phi_state(make_pair(sym("d", "x", state="Trained"), sym("d", "x"))) == 0
+    assert phi_state(sym("d", "x", state="Trained"), sym("d", "x", state="Trained")) == 1
+    assert phi_state(sym("d", "x", state="trained"), sym("d", "x", state="TRAINED")) == 1
+    assert phi_state(sym("d", "x"), sym("d", "x")) == 1
+    assert phi_state(sym("d", "x", state="Noise presence"), sym("d", "x", state="Gaz circulating")) == 0
+    assert phi_state(sym("d", "x", state="Trained"), sym("d", "x")) == 0
+    assert phi_state(sym("d", "x", state="Straße"), sym("d", "x", state="STRASSE")) == 1
 
 
 def test_phi_om_cases():
     n = OperatingMode.NORMAL
     a = OperatingMode.ABNORMAL
     u = OperatingMode.UNSPECIFIED
-    assert phi_om(make_pair(sym("d", "x", operating_mode=n), sym("d", "x", operating_mode=n))) == 1
-    assert phi_om(make_pair(sym("d", "x", operating_mode=n), sym("d", "x", operating_mode=a))) == 0
-    assert phi_om(make_pair(sym("d", "x", operating_mode=u), sym("d", "x", operating_mode=u))) == 1
-    assert phi_om(make_pair(sym("d", "x", operating_mode=u), sym("d", "x", operating_mode=n))) == 0
+    assert phi_om(sym("d", "x", operating_mode=n), sym("d", "x", operating_mode=n)) == 1
+    assert phi_om(sym("d", "x", operating_mode=n), sym("d", "x", operating_mode=a)) == 0
+    assert phi_om(sym("d", "x", operating_mode=u), sym("d", "x", operating_mode=u)) == 1
+    assert phi_om(sym("d", "x", operating_mode=u), sym("d", "x", operating_mode=n)) == 0
 
 
 def test_phi_value_symbolic_uses_taxonomy(engine_case_base):

@@ -12,19 +12,26 @@ from cbrdiag import (
     ConfigurationError,
     Correction,
     Descriptor,
+    FuzzyDomainError,
+    FuzzyProfile,
+    FuzzySubset,
     ImperfectionFlags,
+    MissingProfileError,
     NumericValue,
     OperatingMode,
+    ScoringContext,
     ScoringMode,
     Solution,
     SymbolicValue,
     Taxonomy,
+    UnknownLabelError,
     diagnose,
     encode_outcome,
     prepare_target,
+    retrieval_measure,
     retrieve,
 )
-from naive_reference import naive_select
+from naive_reference import naive_retrieve, naive_select
 from strategies import case_bundles
 
 
@@ -228,3 +235,121 @@ def test_modes_agree_without_flags_and_numerics(bundle):
     typical = retrieve(target_stripped, stripped, ScoringMode.TYPICAL, 10)
     enhanced = retrieve(target_stripped, stripped, ScoringMode.ENHANCED, 10)
     assert [(sc.case_id, sc.m_r) for sc in typical] == [(sc.case_id, sc.m_r) for sc in enhanced]
+
+
+def _with_source_descriptor(case_base: CaseBase, source_id: str, descriptor: Descriptor) -> CaseBase:
+    """An unvalidated copy of the case base with one source descriptor set."""
+    source = case_base.cases[source_id]
+    changed = replace(source, descriptors={**source.descriptors, descriptor.id: descriptor})
+    return replace(case_base, cases={**case_base.cases, source_id: changed})
+
+
+def _numeric(did: str, magnitude: float, unit: str = "°C") -> Descriptor:
+    return Descriptor(id=did, name=did, value=NumericValue(magnitude=magnitude, unit=unit))
+
+
+def test_source_outside_domain_raises_in_enhanced_retrieve(engine_case_base):
+    target = engine_case_base.cases["target"]
+    bad = _with_source_descriptor(engine_case_base, "source1", _numeric("ds3", 150.0))
+    with pytest.raises(FuzzyDomainError) as err:
+        retrieve(target, bad, ScoringMode.ENHANCED, 3)
+    assert str(err.value) == "value 150.0 for descriptor 'ds3' outside domain [0.0, 100.0]"
+    ranking = retrieve(target, bad, ScoringMode.TYPICAL, 3)
+    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, bad, False, 3)
+
+
+def test_numeric_without_profile_raises_in_enhanced_retrieve(engine_case_base):
+    target = engine_case_base.cases["target"]
+    bare = replace(target, descriptors={**target.descriptors, "dx": _numeric("dx", 1.0, "bar")})
+    bad = _with_source_descriptor(engine_case_base, "source2", _numeric("dx", 2.0, "bar"))
+    with pytest.raises(MissingProfileError) as err:
+        retrieve(bare, bad, ScoringMode.ENHANCED, 3)
+    assert str(err.value) == "no fuzzy profile registered for descriptor 'dx'"
+    ranking = retrieve(bare, bad, ScoringMode.TYPICAL, 3)
+    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(bare, bad, False, 3)
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_unknown_label_raises_in_retrieve(engine_case_base, mode):
+    target = engine_case_base.cases["target"]
+    label = Descriptor(id="ds1", name="ds1", value=SymbolicValue(label="warp drive"))
+    bad = _with_source_descriptor(engine_case_base, "source3", label)
+    with pytest.raises(UnknownLabelError) as err:
+        retrieve(target, bad, mode, 3)
+    assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+
+
+def test_kernel_branches_match_naive_reference():
+    taxonomy = Taxonomy([("root", None), ("a", "root"), ("a1", "a"), ("a2", "a"), ("b", "root")])
+    profile = FuzzyProfile(
+        descriptor_id="n",
+        domain_lower=0.0,
+        domain_upper=100.0,
+        prototype=50.0,
+        half_width=10.0,
+        subsets=[FuzzySubset("low", 0.0, 30.0), FuzzySubset("high", 70.0, 100.0)],
+    )
+
+    def case(cid: str, kind: CaseKind, value, state: str | None, uncertain: bool = False) -> Case:
+        descriptors = {
+            "n": Descriptor(
+                id="n",
+                name="n",
+                value=value,
+                state=state,
+                operating_mode=OperatingMode.ABNORMAL,
+                flags=ImperfectionFlags(uncertain=uncertain),
+            ),
+            "s": Descriptor(id="s", name="s", value=SymbolicValue("a1"), state="On"),
+        }
+        return Case(id=cid, kind=kind, descriptors=descriptors, solution=Solution("a", "fix"))
+
+    target = case("t", CaseKind.TARGET, NumericValue(20.0, "u"), "Open")
+    sources = [
+        case("k0", CaseKind.SOURCE, NumericValue(20.0, "u"), "open"),  # case-only state difference
+        case("k1", CaseKind.SOURCE, NumericValue(25.0, "u"), "OPEN"),  # same class
+        case("k2", CaseKind.SOURCE, NumericValue(80.0, "u"), "Open"),  # other class
+        case("k3", CaseKind.SOURCE, NumericValue(20.0, "v"), "Open"),  # unit mismatch
+        case("k4", CaseKind.SOURCE, SymbolicValue("a2"), "Open"),  # kind mismatch
+        case("k5", CaseKind.SOURCE, NumericValue(40.0, "u"), "Open"),  # gap below prototype
+        case("k6", CaseKind.SOURCE, NumericValue(20.0, "u"), "Shut"),  # state disagrees
+        case("k7", CaseKind.SOURCE, NumericValue(20.0, "u"), "Open", uncertain=True),
+    ]
+    case_base = CaseBase(
+        taxonomy=taxonomy,
+        profiles={"n": profile},
+        cases={c.id: c for c in [target, *sources]},
+    )
+    for mode in ScoringMode:
+        engine = retrieve(target, case_base, mode, len(sources))
+        reference = naive_retrieve(target, case_base, mode is ScoringMode.ENHANCED, len(sources))
+        assert [(sc.case_id, sc.m_r) for sc in engine] == reference
+        ctx = ScoringContext(taxonomy=taxonomy, profiles=case_base.profiles, mode=mode)
+        scored = prepare_target(target, case_base.profiles)[0] if mode is ScoringMode.ENHANCED else target
+        for sc in engine:
+            assert retrieval_measure(scored, case_base.cases[sc.case_id], ctx).breakdown == sc.breakdown_r
+
+
+@given(case_bundles(min_sources=1))
+def test_ranking_breakdowns_match_retrieval_measure(bundle):
+    case_base, target = bundle
+    for mode in ScoringMode:
+        ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+        scored = prepare_target(target, case_base.profiles)[0] if mode is ScoringMode.ENHANCED else target
+        for sc in retrieve(target, case_base, mode, 3):
+            result = retrieval_measure(scored, case_base.cases[sc.case_id], ctx)
+            assert (sc.m_r, sc.breakdown_r) == (result.score, result.breakdown)
+
+
+def test_replaced_case_base_scores_its_own_cases(engine_case_base):
+    target = engine_case_base.cases["target"]
+    base = replace(engine_case_base)
+    before = retrieve(target, base, ScoringMode.TYPICAL, 3)
+    source2 = base.cases["source2"]
+    emptied = replace(source2, descriptors={})
+    changed = replace(base, cases={**base.cases, "source2": emptied})
+    after = retrieve(target, changed, ScoringMode.TYPICAL, 3)
+    assert [(sc.case_id, sc.m_r) for sc in after] == naive_retrieve(target, changed, False, 3)
+    assert [sc.case_id for sc in after] == ["source3", "source1", "source2"]
+    assert after[2].m_r == 0.0
+    assert retrieve(target, base, ScoringMode.TYPICAL, 3) == before
