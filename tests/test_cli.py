@@ -7,6 +7,7 @@ console script to prove the entry point resolves.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,36 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# Every command, mode and format on the bundled fixture, keyed by the name of
+# the file under tests/golden/ that holds its expected standard output.
+GOLDEN_RUNS = {
+    "validate": ["validate"],
+    "query-enhanced-machine": ["query"],
+    "query-enhanced-table": ["query", "--format", "table"],
+    "query-typical-machine": ["query", "--mode", "typical"],
+    "query-typical-table": ["query", "--mode", "typical", "--format", "table"],
+    "query-adapt-machine": ["query", "--adapt"],
+    "query-adapt-table": ["query", "--adapt", "--format", "table"],
+    **{
+        f"explain-{source}-{mode}-{fmt}": ["explain", "--source", source, "--mode", mode, "--format", fmt]
+        for source in ("source1", "source3")
+        for mode in ("enhanced", "typical")
+        for fmt in ("machine", "table")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_output_matches_golden(capsys, fixture_path, name):
+    command, *options = GOLDEN_RUNS[name]
+    code, out, err = run_cli(capsys, command, "--case-base", fixture_path, *options)
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN_DIR, f"{name}.txt"), "rb") as handle:
+        assert out.encode("utf-8") == handle.read()
 
 
 def test_validate_fixture(capsys, fixture_path):
