@@ -16,6 +16,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
+from .errors import FuzzyDomainError
+
 if TYPE_CHECKING:
     from .fuzzy import FuzzyProfile
     from .taxonomy import Taxonomy
@@ -151,12 +153,6 @@ class CaseBase:
     def targets(self) -> list[Case]:
         return [self.cases[cid] for cid in sorted(self.cases) if self.cases[cid].kind is CaseKind.TARGET]
 
-    def validate(self) -> list[str]:
-        violations: list[str] = []
-        for cid in sorted(self.cases):
-            violations.extend(validate_case(self.cases[cid], self.taxonomy, self.profiles))
-        return violations
-
 
 def validate_case(
     case: Case,
@@ -166,9 +162,11 @@ def validate_case(
     """Report the case's violations against a taxonomy and profile registry.
 
     Checks: symbolic labels (including a solution's failing component) must
-    resolve to taxonomy nodes; a numeric descriptor flagged imprecise must
-    have a fuzzy profile; descriptor map keys must match descriptor ids.
-    An empty report means the case is valid; callers decide severity.
+    resolve to taxonomy nodes; every numeric descriptor must have a fuzzy
+    profile and a magnitude inside that profile's domain; descriptor map keys
+    must match descriptor ids. Cases that pass against the same taxonomy and
+    profiles score against each other in either mode without raising. An
+    empty report means the case is valid; callers decide severity.
     """
     violations: list[str] = []
     for key in sorted(case.descriptors):
@@ -180,8 +178,15 @@ def validate_case(
             if not taxonomy.contains(d.value.label):
                 violations.append(f"{where}: unknown taxonomy label {d.value.label!r}")
         elif isinstance(d.value, NumericValue):
-            if d.flags.imprecise and d.id not in profiles:
-                violations.append(f"{where}: imprecise numeric descriptor has no fuzzy profile")
+            profile = profiles.get(d.id)
+            if profile is None:
+                kind = "imprecise numeric" if d.flags.imprecise else "numeric"
+                violations.append(f"{where}: {kind} descriptor has no fuzzy profile")
+            else:
+                try:
+                    profile.check_domain(d.value.magnitude)
+                except FuzzyDomainError as exc:
+                    violations.append(f"{where}: {exc}")
     if case.solution is not None and not taxonomy.contains(case.solution.failing_component):
         violations.append(
             f"{case.id}/solution: unknown taxonomy label {case.solution.failing_component!r}"

@@ -12,13 +12,13 @@ syntax error, 3 configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import codec
-from .adaptation import AdaptationResult, adaptation_measure
+from .adaptation import adaptation_measure
 from .cases import Case, CaseBase, validate_case
 from .errors import (
     ConfigurationError,
@@ -28,8 +28,8 @@ from .errors import (
     MissingProfileError,
     UnknownLabelError,
 )
-from .measures import RetrievalResult, ScoringContext, ScoringMode, retrieval_measure
-from .pipeline import Correction, DiagnosisOutcome, _retrieve, diagnose, prepare_target
+from .measures import ScoringContext, ScoringMode, retrieval_measure
+from .pipeline import DiagnosisOutcome, _retrieve, diagnose, prepare_target
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -167,60 +167,17 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _running(values: list[float]) -> list[float]:
-    sums = []
+def _print_breakdown(breakdown: list, total_field: str, headers: list[str]) -> None:
+    """Print breakdown rows as a table, one column per field, followed by the
+    running sum of ``total_field``."""
+    rows = []
     total = 0.0
-    for v in values:
-        total += v
-        sums.append(total)
-    return sums
-
-
-def _explain_document(
-    mode: ScoringMode,
-    target: Case,
-    source: Case,
-    corrections: list[Correction],
-    retrieval: RetrievalResult,
-    adaptation: AdaptationResult,
-) -> dict:
-    r_running = _running([row.product for row in retrieval.breakdown])
-    a_running = _running([row.term for row in adaptation.breakdown])
-    return {
-        "format_version": codec.FORMAT_VERSION,
-        "mode": mode.value,
-        "target_id": target.id,
-        "source_id": source.id,
-        "corrections_applied": [
-            {"descriptor_id": c.descriptor_id, "original": c.original, "corrected": c.corrected}
-            for c in corrections
-        ],
-        "m_r": retrieval.score,
-        "retrieval_rows": [
-            {
-                "descriptor_id": row.descriptor_id,
-                "phi_value": row.phi_value,
-                "phi_state": row.phi_state,
-                "phi_presence": row.phi_presence,
-                "phi_om": row.phi_om,
-                "product": row.product,
-                "running_sum": r_running[i],
-            }
-            for i, row in enumerate(retrieval.breakdown)
-        ],
-        "m_a": adaptation.score,
-        "adaptation_rows": [
-            {
-                "descriptor_id": row.descriptor_id,
-                "weight": row.weight,
-                "phi_presence": row.phi_presence,
-                "phi_value": row.phi_value,
-                "term": row.term,
-                "running_sum": a_running[i],
-            }
-            for i, row in enumerate(adaptation.breakdown)
-        ],
-    }
+    for row in breakdown:
+        total += getattr(row, total_field)
+        cells = [getattr(row, f.name) for f in fields(row)] + [total]
+        rows.append([cell if isinstance(cell, str) else _cell(cell) for cell in cells])
+    for line in _render_table(headers, rows):
+        print(line)
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -238,47 +195,24 @@ def cmd_explain(args: argparse.Namespace) -> int:
     adaptation = adaptation_measure(prepared, source, ctx)
 
     if args.format == "machine":
-        document = _explain_document(mode, target, source, corrections, retrieval, adaptation)
-        sys.stdout.write(json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+        sys.stdout.write(
+            codec.encode_explanation(mode, target.id, source.id, corrections, retrieval, adaptation)
+        )
         return EXIT_OK
 
     print(f"retrieval ({mode.value}): {target.id} vs {source.id}")
     for c in corrections:
         print(f"corrected {c.descriptor_id}: {_cell(c.original)} -> {_cell(c.corrected)}")
-    r_running = _running([row.product for row in retrieval.breakdown])
-    rows = [
-        [
-            row.descriptor_id,
-            _cell(row.phi_value),
-            str(row.phi_state),
-            str(row.phi_presence),
-            str(row.phi_om),
-            _cell(row.product),
-            _cell(r_running[i]),
-        ]
-        for i, row in enumerate(retrieval.breakdown)
-    ]
-    headers = ["descriptor", "phi_value", "phi_state", "phi_presence", "phi_om", "product", "running"]
-    for line in _render_table(headers, rows):
-        print(line)
+    _print_breakdown(
+        retrieval.breakdown,
+        "product",
+        ["descriptor", "phi_value", "phi_state", "phi_presence", "phi_om", "product", "running"],
+    )
     print(f"M_R = {retrieval.score!r}")
-
     print("adaptation:")
-    a_running = _running([row.term for row in adaptation.breakdown])
-    rows = [
-        [
-            row.descriptor_id,
-            str(row.weight),
-            str(row.phi_presence),
-            _cell(row.phi_value),
-            _cell(row.term),
-            _cell(a_running[i]),
-        ]
-        for i, row in enumerate(adaptation.breakdown)
-    ]
-    headers = ["descriptor", "lambda", "phi_presence", "phi_value", "term", "running"]
-    for line in _render_table(headers, rows):
-        print(line)
+    _print_breakdown(
+        adaptation.breakdown, "term", ["descriptor", "lambda", "phi_presence", "phi_value", "term", "running"]
+    )
     print(f"M_A = {adaptation.score!r}")
     return EXIT_OK
 

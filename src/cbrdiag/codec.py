@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
-from .adaptation import AdaptationTerm
+from .adaptation import AdaptationResult, AdaptationTerm
 from .cases import (
     Case,
     CaseBase,
@@ -31,7 +31,7 @@ from .cases import (
 )
 from .errors import DocumentSyntaxError, DocumentValidationError
 from .fuzzy import FuzzyProfile, FuzzySubset
-from .measures import LocalScores, ScoringMode
+from .measures import LocalScores, RetrievalResult, ScoringMode
 from .pipeline import Correction, DiagnosisOutcome, ScoredCase
 from .taxonomy import Taxonomy
 
@@ -85,10 +85,61 @@ def _num(value: Any, path: str) -> float:
     return number
 
 
+def _int(value: Any, path: str) -> int:
+    number = _num(value, path)
+    if not number.is_integer():
+        _fail(path, f"expected an integer, got {number!r}")
+    return int(number)
+
+
 def _bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
         _fail(path, f"expected a boolean, got {type(value).__name__}")
     return value
+
+
+# Flat records encode as objects keyed by their dataclass field names. One
+# table per type, {json name: checker}, in field order, decodes them.
+_FIELDS = {
+    Solution: {"failing_component": _str, "action": _str},
+    Correction: {"descriptor_id": _str, "original": _num, "corrected": _num},
+    FuzzySubset: {"label": _str, "lower": _num, "upper": _num},
+    LocalScores: {
+        "descriptor_id": _str,
+        "phi_value": _num,
+        "phi_state": _int,
+        "phi_presence": _int,
+        "phi_om": _int,
+        "product": _num,
+    },
+    AdaptationTerm: {
+        "descriptor_id": _str,
+        "weight": _int,
+        "phi_presence": _int,
+        "phi_value": _num,
+        "term": _num,
+    },
+}
+
+
+def _encode_row(row: Any) -> dict:
+    """A flat record as its document object; the field names are the keys."""
+    return dict(vars(row))
+
+
+def _decode_row(cls: type, value: Any, path: str) -> Any:
+    obj = _as_dict(value, path)
+    return cls(
+        **{name: check(_get(obj, name, path), f"{path}.{name}") for name, check in _FIELDS[cls].items()}
+    )
+
+
+def _decode_rows(cls: type, value: Any, path: str) -> list:
+    return [_decode_row(cls, row, f"{path}[{i}]") for i, row in enumerate(_as_list(value, path))]
+
+
+def _dump(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _parse_json(text: str) -> Any:
@@ -160,16 +211,8 @@ def _decode_case(value: Any, path: str, violations: list[str]) -> Case:
             violations.append(f"{path}.descriptors[{i}].id: duplicate descriptor id {d.id!r}")
             continue
         descriptors[d.id] = d
-    solution = None
     raw_solution = obj.get("solution")
-    if raw_solution is not None:
-        sol = _as_dict(raw_solution, f"{path}.solution")
-        solution = Solution(
-            failing_component=_str(
-                _get(sol, "failing_component", f"{path}.solution"), f"{path}.solution.failing_component"
-            ),
-            action=_str(_get(sol, "action", f"{path}.solution"), f"{path}.solution.action"),
-        )
+    solution = None if raw_solution is None else _decode_row(Solution, raw_solution, f"{path}.solution")
     return Case(id=case_id, kind=kind, descriptors=descriptors, solution=solution)
 
 
@@ -205,16 +248,9 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
         descriptor_id = _str(_get(obj, "descriptor_id", path), f"{path}.descriptor_id")
         subsets = []
         for j, sub in enumerate(_as_list(_get(obj, "subsets", path), f"{path}.subsets")):
-            sub_obj = _as_dict(sub, f"{path}.subsets[{j}]")
             sub_path = f"{path}.subsets[{j}]"
             try:
-                subsets.append(
-                    FuzzySubset(
-                        label=_str(_get(sub_obj, "label", sub_path), f"{sub_path}.label"),
-                        lower=_num(_get(sub_obj, "lower", sub_path), f"{sub_path}.lower"),
-                        upper=_num(_get(sub_obj, "upper", sub_path), f"{sub_path}.upper"),
-                    )
-                )
+                subsets.append(_decode_row(FuzzySubset, sub, sub_path))
             except ValueError as exc:
                 violations.append(f"{sub_path}: {exc}")
         if descriptor_id in profiles:
@@ -277,12 +313,7 @@ def _encode_case(case: Case) -> dict:
         "id": case.id,
         "kind": case.kind.value,
         "descriptors": [_encode_descriptor(case.descriptors[did]) for did in sorted(case.descriptors)],
-        "solution": None
-        if case.solution is None
-        else {
-            "failing_component": case.solution.failing_component,
-            "action": case.solution.action,
-        },
+        "solution": None if case.solution is None else _encode_row(case.solution),
     }
 
 
@@ -296,42 +327,12 @@ def encode_case_base(case_base: CaseBase) -> str:
             for name in case_base.taxonomy.nodes()
         ],
         "fuzzy_profiles": [
-            {
-                "descriptor_id": p.descriptor_id,
-                "domain_lower": p.domain_lower,
-                "domain_upper": p.domain_upper,
-                "prototype": p.prototype,
-                "half_width": p.half_width,
-                "subsets": [
-                    {"label": s.label, "lower": s.lower, "upper": s.upper} for s in p.subsets
-                ],
-            }
+            {**vars(p), "subsets": [_encode_row(s) for s in p.subsets]}
             for _, p in sorted(case_base.profiles.items())
         ],
         "cases": [_encode_case(case_base.cases[cid]) for cid in sorted(case_base.cases)],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
-
-
-def _encode_local_scores(row: LocalScores) -> dict:
-    return {
-        "descriptor_id": row.descriptor_id,
-        "phi_value": row.phi_value,
-        "phi_state": row.phi_state,
-        "phi_presence": row.phi_presence,
-        "phi_om": row.phi_om,
-        "product": row.product,
-    }
-
-
-def _encode_adaptation_term(row: AdaptationTerm) -> dict:
-    return {
-        "descriptor_id": row.descriptor_id,
-        "weight": row.weight,
-        "phi_presence": row.phi_presence,
-        "phi_value": row.phi_value,
-        "term": row.term,
-    }
+    return _dump(doc)
 
 
 def encode_outcome(outcome: DiagnosisOutcome) -> str:
@@ -341,30 +342,57 @@ def encode_outcome(outcome: DiagnosisOutcome) -> str:
         "format_version": FORMAT_VERSION,
         "mode": outcome.mode.value,
         "selected_case_id": outcome.selected_case_id,
-        "solution": None
-        if outcome.solution is None
-        else {
-            "failing_component": outcome.solution.failing_component,
-            "action": outcome.solution.action,
-        },
-        "corrections_applied": [
-            {"descriptor_id": c.descriptor_id, "original": c.original, "corrected": c.corrected}
-            for c in outcome.corrections_applied
-        ],
+        "solution": None if outcome.solution is None else _encode_row(outcome.solution),
+        "corrections_applied": [_encode_row(c) for c in outcome.corrections_applied],
         "ranking": [
             {
                 "case_id": sc.case_id,
                 "m_r": sc.m_r,
                 "m_a": sc.m_a,
-                "breakdown_r": [_encode_local_scores(row) for row in sc.breakdown_r],
+                "breakdown_r": [_encode_row(row) for row in sc.breakdown_r],
                 "breakdown_a": None
                 if sc.breakdown_a is None
-                else [_encode_adaptation_term(row) for row in sc.breakdown_a],
+                else [_encode_row(row) for row in sc.breakdown_a],
             }
             for sc in outcome.ranking
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return _dump(doc)
+
+
+def _with_running_sums(rows: list, total_field: str) -> list[dict]:
+    """Encoded rows, each with the running sum of ``total_field`` through it."""
+    total = 0.0
+    encoded = []
+    for row in rows:
+        total += getattr(row, total_field)
+        encoded.append({**_encode_row(row), "running_sum": total})
+    return encoded
+
+
+def encode_explanation(
+    mode: ScoringMode,
+    target_id: str,
+    source_id: str,
+    corrections: list[Correction],
+    retrieval: RetrievalResult,
+    adaptation: AdaptationResult,
+) -> str:
+    """Render one target/source pair's score breakdowns, the document the
+    ``explain`` command prints: both measures' rows, each with the running
+    sum of its numerator terms."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "mode": mode.value,
+        "target_id": target_id,
+        "source_id": source_id,
+        "corrections_applied": [_encode_row(c) for c in corrections],
+        "m_r": retrieval.score,
+        "retrieval_rows": _with_running_sums(retrieval.breakdown, "product"),
+        "m_a": adaptation.score,
+        "adaptation_rows": _with_running_sums(adaptation.breakdown, "term"),
+    }
+    return _dump(doc)
 
 
 def decode_outcome(text: str) -> DiagnosisOutcome:
@@ -376,56 +404,14 @@ def decode_outcome(text: str) -> DiagnosisOutcome:
         mode = ScoringMode(mode_code)
     except ValueError:
         _fail("$.mode", f"expected \"typical\" or \"enhanced\", got {mode_code!r}")
-    corrections = []
-    for i, rec in enumerate(_as_list(_get(doc, "corrections_applied", "$"), "$.corrections_applied")):
-        path = f"$.corrections_applied[{i}]"
-        obj = _as_dict(rec, path)
-        corrections.append(
-            Correction(
-                descriptor_id=_str(_get(obj, "descriptor_id", path), f"{path}.descriptor_id"),
-                original=_num(_get(obj, "original", path), f"{path}.original"),
-                corrected=_num(_get(obj, "corrected", path), f"{path}.corrected"),
-            )
-        )
+    corrections = _decode_rows(Correction, _get(doc, "corrections_applied", "$"), "$.corrections_applied")
     ranking = []
     for i, rec in enumerate(_as_list(_get(doc, "ranking", "$"), "$.ranking")):
         path = f"$.ranking[{i}]"
         obj = _as_dict(rec, path)
-        breakdown_r = []
-        for j, row in enumerate(_as_list(_get(obj, "breakdown_r", path), f"{path}.breakdown_r")):
-            row_path = f"{path}.breakdown_r[{j}]"
-            row_obj = _as_dict(row, row_path)
-            breakdown_r.append(
-                LocalScores(
-                    descriptor_id=_str(_get(row_obj, "descriptor_id", row_path), f"{row_path}.descriptor_id"),
-                    phi_value=_num(_get(row_obj, "phi_value", row_path), f"{row_path}.phi_value"),
-                    phi_state=int(_num(_get(row_obj, "phi_state", row_path), f"{row_path}.phi_state")),
-                    phi_presence=int(
-                        _num(_get(row_obj, "phi_presence", row_path), f"{row_path}.phi_presence")
-                    ),
-                    phi_om=int(_num(_get(row_obj, "phi_om", row_path), f"{row_path}.phi_om")),
-                    product=_num(_get(row_obj, "product", row_path), f"{row_path}.product"),
-                )
-            )
-        breakdown_a = None
-        if obj.get("breakdown_a") is not None:
-            breakdown_a = []
-            for j, row in enumerate(_as_list(obj["breakdown_a"], f"{path}.breakdown_a")):
-                row_path = f"{path}.breakdown_a[{j}]"
-                row_obj = _as_dict(row, row_path)
-                breakdown_a.append(
-                    AdaptationTerm(
-                        descriptor_id=_str(
-                            _get(row_obj, "descriptor_id", row_path), f"{row_path}.descriptor_id"
-                        ),
-                        weight=int(_num(_get(row_obj, "weight", row_path), f"{row_path}.weight")),
-                        phi_presence=int(
-                            _num(_get(row_obj, "phi_presence", row_path), f"{row_path}.phi_presence")
-                        ),
-                        phi_value=_num(_get(row_obj, "phi_value", row_path), f"{row_path}.phi_value"),
-                        term=_num(_get(row_obj, "term", row_path), f"{row_path}.term"),
-                    )
-                )
+        breakdown_r = _decode_rows(LocalScores, _get(obj, "breakdown_r", path), f"{path}.breakdown_r")
+        raw_a = obj.get("breakdown_a")
+        breakdown_a = None if raw_a is None else _decode_rows(AdaptationTerm, raw_a, f"{path}.breakdown_a")
         m_a_raw = obj.get("m_a")
         ranking.append(
             ScoredCase(
@@ -436,14 +422,8 @@ def decode_outcome(text: str) -> DiagnosisOutcome:
                 breakdown_a=breakdown_a,
             )
         )
-    solution = None
     raw_solution = doc.get("solution")
-    if raw_solution is not None:
-        sol = _as_dict(raw_solution, "$.solution")
-        solution = Solution(
-            failing_component=_str(_get(sol, "failing_component", "$.solution"), "$.solution.failing_component"),
-            action=_str(_get(sol, "action", "$.solution"), "$.solution.action"),
-        )
+    solution = None if raw_solution is None else _decode_row(Solution, raw_solution, "$.solution")
     return DiagnosisOutcome(
         selected_case_id=_opt_str(doc.get("selected_case_id"), "$.selected_case_id"),
         solution=solution,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import FuzzyDomainError
 
@@ -35,7 +35,8 @@ class FuzzyProfile:
     """Fuzzy description of one numeric descriptor's value domain.
 
     Subsets must be pairwise disjoint (shared endpoints count as overlap) and
-    lie inside the domain. They are kept sorted by lower bound.
+    lie inside the domain. Any iterable of subsets is accepted; they are kept
+    as a tuple sorted by lower bound.
     """
 
     descriptor_id: str
@@ -45,41 +46,28 @@ class FuzzyProfile:
     half_width: float
     subsets: tuple[FuzzySubset, ...] = ()
 
-    def __init__(
-        self,
-        descriptor_id: str,
-        domain_lower: float,
-        domain_upper: float,
-        prototype: float,
-        half_width: float,
-        subsets: Iterable[FuzzySubset] = (),
-    ) -> None:
-        ordered = tuple(sorted(subsets, key=lambda s: (s.lower, s.upper)))
-        if not domain_lower <= prototype <= domain_upper:
+    def __post_init__(self) -> None:
+        ordered = tuple(sorted(self.subsets, key=lambda s: (s.lower, s.upper)))
+        if not self.domain_lower <= self.prototype <= self.domain_upper:
             raise ValueError(
-                f"profile {descriptor_id!r}: prototype {prototype!r} outside domain "
-                f"[{domain_lower!r}, {domain_upper!r}]"
+                f"profile {self.descriptor_id!r}: prototype {self.prototype!r} outside domain "
+                f"[{self.domain_lower!r}, {self.domain_upper!r}]"
             )
-        if not half_width > 0:
-            raise ValueError(f"profile {descriptor_id!r}: half_width must be positive")
+        if not self.half_width > 0:
+            raise ValueError(f"profile {self.descriptor_id!r}: half_width must be positive")
         labels = [s.label for s in ordered]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"profile {descriptor_id!r}: duplicate subset labels")
+            raise ValueError(f"profile {self.descriptor_id!r}: duplicate subset labels")
         for s in ordered:
-            if s.lower < domain_lower or s.upper > domain_upper:
+            if s.lower < self.domain_lower or s.upper > self.domain_upper:
                 raise ValueError(
-                    f"profile {descriptor_id!r}: subset {s.label!r} leaves the domain"
+                    f"profile {self.descriptor_id!r}: subset {s.label!r} leaves the domain"
                 )
         for a, b in zip(ordered, ordered[1:]):
             if a.upper >= b.lower:
                 raise ValueError(
-                    f"profile {descriptor_id!r}: subsets {a.label!r} and {b.label!r} overlap"
+                    f"profile {self.descriptor_id!r}: subsets {a.label!r} and {b.label!r} overlap"
                 )
-        object.__setattr__(self, "descriptor_id", descriptor_id)
-        object.__setattr__(self, "domain_lower", domain_lower)
-        object.__setattr__(self, "domain_upper", domain_upper)
-        object.__setattr__(self, "prototype", prototype)
-        object.__setattr__(self, "half_width", half_width)
         object.__setattr__(self, "subsets", ordered)
 
     def check_domain(self, x: float) -> None:

@@ -44,7 +44,9 @@ GOLDEN_RUNS = {
     "query-adapt-machine": ["query", "--adapt"],
     "query-adapt-table": ["query", "--adapt", "--format", "table"],
     **{
-        f"explain-{source}-{mode}-{fmt}": ["explain", "--source", source, "--mode", mode, "--format", fmt]
+        f"explain-{source}-{mode}-{fmt}": [
+            "explain", "--source", source, "--mode", mode, "--format", fmt
+        ]
         for source in ("source1", "source3")
         for mode in ("enhanced", "typical")
         for fmt in ("machine", "table")
@@ -89,6 +91,43 @@ def test_validate_missing_profile(capsys, tmp_path, fixture_text):
     code, out, err = run_cli(capsys, "validate", "--case-base", str(path))
     assert code == 1
     assert "fuzzy profile" in out
+
+
+def _write_fixture_variant(tmp_path, fixture_text, edit) -> str:
+    doc = json.loads(fixture_text)
+    edit(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_validate_numeric_outside_profile_domain(capsys, tmp_path, fixture_text):
+    def edit(doc):
+        assert doc["cases"][2]["descriptors"][2]["id"] == "ds3"
+        doc["cases"][2]["descriptors"][2]["value"]["numeric"] = 150.0
+
+    path = _write_fixture_variant(tmp_path, fixture_text, edit)
+    violation = "$.cases[2]: source3/ds3: value 150.0 for descriptor 'ds3' outside domain [0.0, 100.0]"
+    assert run_cli(capsys, "validate", "--case-base", path) == (1, violation + "\n", "")
+    assert run_cli(capsys, "query", "--case-base", path) == (1, "", f"error: {violation}\n")
+
+
+def test_validate_numeric_without_profile(capsys, tmp_path, fixture_text):
+    def edit(doc):
+        dx = {"id": "dx", "name": "dx", "value": {"numeric": 1.0, "unit": "bar"}}
+        for case in doc["cases"]:
+            if case["id"] in ("source2", "target"):
+                case["descriptors"].append(dx)
+
+    path = _write_fixture_variant(tmp_path, fixture_text, edit)
+    violations = [
+        "$.cases[1]: source2/dx: numeric descriptor has no fuzzy profile",
+        "$.cases[3]: target/dx: numeric descriptor has no fuzzy profile",
+    ]
+    report = "".join(v + "\n" for v in violations)
+    assert run_cli(capsys, "validate", "--case-base", path) == (1, report, "")
+    code, out, err = run_cli(capsys, "query", "--case-base", path)
+    assert (code, err.splitlines()) == (1, [f"error: {v}" for v in violations])
 
 
 def test_query_typical_table(capsys, fixture_path):

@@ -261,3 +261,14 @@ def test_encoders_refuse_non_finite_numbers(engine_case_base):
     corrections = [replace(outcome.corrections_applied[0], original=float("inf"))]
     with pytest.raises(ValueError):
         encode_outcome(replace(outcome, corrections_applied=corrections))
+
+
+@pytest.mark.parametrize(
+    "rows, field, value", [("breakdown_r", "phi_state", 0.5), ("breakdown_a", "weight", 2.9)]
+)
+def test_outcome_integer_fields_reject_fractions(engine_case_base, rows, field, value):
+    doc = json.loads(encode_outcome(diagnose(engine_case_base.cases["target"], engine_case_base)))
+    doc["ranking"][0][rows][0][field] = value
+    with pytest.raises(DocumentSyntaxError) as excinfo:
+        decode_outcome(json.dumps(doc))
+    assert str(excinfo.value) == f"$.ranking[0].{rows}[0].{field}: expected an integer, got {value!r}"
