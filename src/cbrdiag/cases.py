@@ -135,11 +135,14 @@ class CaseBase:
     The snapshot may bundle target cases next to the sources; retrieval only
     ever scores against the sources.
 
-    A case base compiles its sources into scoring records on its first query
-    and keeps them, so neither it nor the mappings it holds may be mutated
-    afterwards; build a new one instead (``dataclasses.replace`` starts with
-    no records). Concurrent first queries may both compile, which is
-    harmless: either result serves.
+    A case base compiles its sources into scoring records on its first query,
+    together with an index from each descriptor id to the sources that
+    record it, and keeps both: a query scores only the sources that share a
+    descriptor with its target, since any other scores 0. Neither the case
+    base nor the mappings it holds may be mutated afterwards; build a new
+    one instead (``dataclasses.replace`` starts with nothing compiled).
+    Concurrent first queries may both compile, which is harmless: either
+    result serves.
     """
 
     taxonomy: "Taxonomy"

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import codec
 from .adaptation import adaptation_measure
-from .cases import Case, CaseBase, validate_case
+from .cases import Case, CaseBase, CaseKind, validate_case
 from .errors import (
     ConfigurationError,
     DocumentSyntaxError,
@@ -184,9 +184,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     case_base = _load_case_base(args.case_base)
     mode = _parse_mode(args.mode)
     target = _resolve_target(args.target, case_base)
-    if args.source not in case_base.cases:
+    source = case_base.cases.get(args.source)
+    if source is None:
         raise _Failure(EXIT_INVALID, f"unknown source id {args.source!r}")
-    source = case_base.cases[args.source]
+    if source.kind is not CaseKind.SOURCE:
+        raise _Failure(EXIT_INVALID, f"{args.source!r} is a {source.kind.value} case, not a source")
 
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     prepared, corrections = prepare_target(target, case_base.profiles)

@@ -14,18 +14,23 @@ descriptors whose value is uncertain on either side from both sums.
 Scoring runs over per-descriptor records rather than descriptors: the kind,
 label or magnitude, unit, casefolded state, operating mode, uncertain flag,
 and the fuzzy subset of a profiled in-domain numeric. A case base compiles
-its sources into records once; a target is compiled per query. One kernel
+its sources into records once, with an inverted index from descriptor id to
+the sources that record it; a target is compiled per query. One kernel
 scores a target against a source from their records, either for the score
 alone or recording the per-descriptor breakdown, which is what
-:func:`retrieval_measure` returns.
+:func:`retrieval_measure` returns. Ranking runs the kernel only on the
+sources the index names for the target's descriptors: a source that shares
+none has nothing co-present and scores 0 without being scored.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -246,13 +251,24 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     return RetrievalResult(score=score, breakdown=rows)
 
 
-def _compiled_sources(case_base: CaseBase) -> tuple[tuple[Case, dict[str, tuple]], ...]:
-    """The case base's sources in id order, each with its records; compiled
-    on the first call and cached on the case base."""
+def _compiled_sources(
+    case_base: CaseBase,
+) -> tuple[tuple[tuple[Case, dict[str, tuple]], ...], dict[str, tuple[int, ...]]]:
+    """The case base's sources in id order, each with its records, and the
+    inverted index from descriptor id to the increasing positions of the
+    sources that record it; compiled on the first call and cached on the
+    case base."""
     compiled = case_base._compiled
     if compiled is None:
         ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
-        compiled = tuple((source, _source_records(source, ctx)) for source in case_base.sources())
+        sources = []
+        postings: defaultdict[str, list[int]] = defaultdict(list)
+        for position, source in enumerate(case_base.sources()):
+            records = _source_records(source, ctx)
+            sources.append((source, records))
+            for did in records:
+                postings[did].append(position)
+        compiled = (tuple(sources), {did: tuple(p) for did, p in postings.items()})
         object.__setattr__(case_base, "_compiled", compiled)
     return compiled
 
@@ -263,17 +279,37 @@ def rank_sources(
     """The ``top_k`` best sources by retrieval score, ties broken by case id,
     each with the same result :func:`retrieval_measure` gives.
 
-    Every source is scored; only the returned ones get a breakdown.
+    Only sources that record one of the target's descriptors are scored:
+    any other has nothing co-present and scores 0. Sources scoring 0 fill
+    the places left after the positive scores, in id order. Only the
+    returned sources get a breakdown.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
-    compiled = _compiled_sources(case_base)
+    sources, index = _compiled_sources(case_base)
     records = _target_records(target, ctx)
-    scores = [_score(target, records, source, source_records, ctx) for source, source_records in compiled]
+    postings = [index[t[0]] for t in records if t[0] in index]
+    # Posting lists as long together as the case base leave few sources to
+    # skip, and their union costs more than it saves: scan every source.
+    if sum(map(len, postings)) < len(sources):
+        candidates = sorted(set().union(*postings))
+        scanned = [sources[i] for i in candidates]
+    else:
+        candidates = range(len(sources))
+        scanned = sources
+    scores = [_score(target, records, source, source_records, ctx) for source, source_records in scanned]
     # nlargest keeps equal scores in input order, which is case-id order.
-    best = heapq.nlargest(top_k, range(len(scores)), key=scores.__getitem__)
+    best = [
+        candidates[j]
+        for j in heapq.nlargest(top_k, range(len(scores)), key=scores.__getitem__)
+        if scores[j] > 0
+    ]
+    if len(best) < top_k:
+        # Every other source scores 0: fill the places left in id order.
+        positive = set(best)
+        best += itertools.islice((i for i in range(len(sources)) if i not in positive), top_k - len(best))
     ranked = []
     for i in best:
-        source, source_records = compiled[i]
+        source, source_records = sources[i]
         rows: list[LocalScores] = []
         score = _score(target, records, source, source_records, ctx, rows)
         ranked.append((source.id, RetrievalResult(score=score, breakdown=rows)))

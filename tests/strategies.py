@@ -4,10 +4,15 @@ Magnitudes and profile parameters are drawn as integers so that score
 comparisons against the naive reference stay bit-exact without having to
 reason about pathological floats. A descriptor id is either symbolic
 everywhere or has one fuzzy profile for the whole case base; every numeric
-descriptor has its id's profile and a magnitude inside the profile domain.
+descriptor has its id's profile and a magnitude inside the profile domain,
+unless the bundle is drawn with ``valid=False``: then some numerics have no
+profile and some lie outside their profile's domain, so ``validate`` may
+reject the case base.
 
-Cases still disagree in ways scoring must handle: a profiled id may be
-symbolic in some cases, numerics of one id may carry different units, and
+Schemas reach forty ids while a case records at most twelve, and usually a
+handful, so in wide schemas many sources share no descriptor with the
+target. Cases still disagree in ways scoring must handle: a profiled id may
+be symbolic in some cases, numerics of one id may carry different units, and
 states may differ only in letter case.
 """
 
@@ -77,7 +82,7 @@ def fuzzy_profiles(draw, descriptor_id: str) -> FuzzyProfile:
 def descriptor_schemas(draw) -> dict[str, FuzzyProfile | None]:
     """Map of descriptor id to its fuzzy profile, or None for an id that is
     symbolic in every case."""
-    count = draw(st.integers(min_value=1, max_value=12))
+    count = draw(st.integers(min_value=1, max_value=40))
     schema: dict[str, FuzzyProfile | None] = {}
     for i in range(count):
         did = f"d{i:02d}"
@@ -95,10 +100,16 @@ def descriptors(
     profile: FuzzyProfile | None,
     taxonomy: Taxonomy,
     allow_flags: bool = True,
+    valid: bool = True,
 ) -> Descriptor:
-    if profile is not None and draw(st.sampled_from([True, True, True, False])):
+    if profile is not None:
+        numeric = draw(st.sampled_from([True, True, True, False]))
+    else:
+        numeric = not valid and draw(st.sampled_from([False, False, False, True]))
+    if numeric:
         unit = draw(st.sampled_from(["u", "u", "u", "v"]))
-        value = NumericValue(magnitude=float(draw(st.integers(0, 100))), unit=unit)
+        lowest, highest = (0, 100) if valid else (-10, 110)
+        value = NumericValue(magnitude=float(draw(st.integers(lowest, highest))), unit=unit)
         imprecise = allow_flags and draw(st.booleans())
     else:
         value = SymbolicValue(label=draw(st.sampled_from(taxonomy.nodes())))
@@ -123,12 +134,13 @@ def cases(
     taxonomy: Taxonomy,
     min_descriptors: int = 0,
     allow_flags: bool = True,
+    valid: bool = True,
 ) -> Case:
     chosen = draw(
-        st.lists(st.sampled_from(sorted(schema)), unique=True, min_size=min_descriptors)
+        st.lists(st.sampled_from(sorted(schema)), unique=True, min_size=min_descriptors, max_size=12)
     )
     built = {
-        did: draw(descriptors(did, schema[did], taxonomy, allow_flags=allow_flags))
+        did: draw(descriptors(did, schema[did], taxonomy, allow_flags=allow_flags, valid=valid))
         for did in chosen
     }
     solution = None
@@ -140,18 +152,21 @@ def cases(
 
 
 @st.composite
-def case_bundles(draw, min_sources: int = 0, max_sources: int = 9) -> tuple[CaseBase, Case]:
+def case_bundles(
+    draw, min_sources: int = 0, max_sources: int = 16, valid: bool = True
+) -> tuple[CaseBase, Case]:
     """A randomized case base plus its target case (also bundled inside)."""
+    # Hypothesis gives late draws their simplest value more often, so the
+    # source count is drawn first and the target before the sources.
+    count = draw(st.integers(min_value=min_sources, max_value=max_sources))
     taxonomy = draw(taxonomies())
     schema = draw(descriptor_schemas())
     profiles = {did: p for did, p in schema.items() if p is not None}
-    count = draw(st.integers(min_value=min_sources, max_value=max_sources))
-    all_cases: dict[str, Case] = {}
+    target = draw(cases("t", CaseKind.TARGET, schema, taxonomy, valid=valid))
+    all_cases = {target.id: target}
     for i in range(count):
-        c = draw(cases(f"s{i}", CaseKind.SOURCE, schema, taxonomy))
+        c = draw(cases(f"s{i}", CaseKind.SOURCE, schema, taxonomy, valid=valid))
         all_cases[c.id] = c
-    target = draw(cases("t", CaseKind.TARGET, schema, taxonomy))
-    all_cases[target.id] = target
     return CaseBase(taxonomy=taxonomy, profiles=profiles, cases=all_cases), target
 
 

@@ -321,6 +321,14 @@ def test_unknown_source_exits_1(capsys, fixture_path):
     assert "unknown source id" in err
 
 
+def test_explain_rejects_a_target_as_source(capsys, fixture_path):
+    code, out, err = run_cli(
+        capsys, "explain", "--case-base", fixture_path, "--source", "target"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: 'target' is a target case, not a source\n"
+
+
 def test_unsupported_version_exits_2(capsys, tmp_path, fixture_text):
     doc = json.loads(fixture_text)
     doc["format_version"] = 99

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cbrdiag import (
     CaseBase,
@@ -15,12 +16,14 @@ from cbrdiag import (
     ImperfectionFlags,
     NumericValue,
     OperatingMode,
+    ScoringMode,
     Taxonomy,
     decode_case_base,
     decode_outcome,
     diagnose,
     encode_case_base,
     encode_outcome,
+    retrieve,
 )
 from strategies import case_bundles
 
@@ -272,3 +275,51 @@ def test_outcome_integer_fields_reject_fractions(engine_case_base, rows, field, 
     with pytest.raises(DocumentSyntaxError) as excinfo:
         decode_outcome(json.dumps(doc))
     assert str(excinfo.value) == f"$.ranking[0].{rows}[0].{field}: expected an integer, got {value!r}"
+
+
+def _json_items(node, path=()):
+    """Every value below ``node`` with its path of keys and indexes."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _json_items(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=4,
+)
+
+
+@given(st.data())
+def test_single_field_mutation_fails_only_as_a_document_error(fixture_text, data):
+    # One value of the fixture replaced (NaN and infinities included) or one
+    # key deleted: decoding either rejects the document with one of the two
+    # document errors or yields a case base that queries without raising.
+    document = json.loads(fixture_text)
+    items = list(_json_items(document))
+    *parents, last = data.draw(st.sampled_from([path for path, _ in items]))
+    container = document
+    for key in parents:
+        container = container[key]
+    if isinstance(container, dict) and data.draw(st.booleans()):
+        del container[last]
+    else:
+        # A scalar already in the document often has the right type, so the
+        # mutation gets past the syntax checks to the semantic ones.
+        scalars = [value for _, value in items if not isinstance(value, (dict, list))]
+        container[last] = data.draw(st.sampled_from(scalars) | _JSON_VALUES)
+    try:
+        case_base = decode_case_base(json.dumps(document))
+    except (DocumentSyntaxError, DocumentValidationError):
+        return
+    for target in case_base.targets():
+        for mode in ScoringMode:
+            retrieve(target, case_base, mode, 3)
+        diagnose(target, case_base)

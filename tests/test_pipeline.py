@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cbrdiag import (
     Case,
@@ -12,6 +13,7 @@ from cbrdiag import (
     ConfigurationError,
     Correction,
     Descriptor,
+    DocumentValidationError,
     FuzzyDomainError,
     FuzzyProfile,
     FuzzySubset,
@@ -25,11 +27,14 @@ from cbrdiag import (
     SymbolicValue,
     Taxonomy,
     UnknownLabelError,
+    decode_case_base,
     diagnose,
+    encode_case_base,
     encode_outcome,
     prepare_target,
     retrieval_measure,
     retrieve,
+    validate_case,
 )
 from naive_reference import naive_retrieve, naive_select
 from strategies import case_bundles
@@ -237,6 +242,27 @@ def test_modes_agree_without_flags_and_numerics(bundle):
     assert [(sc.case_id, sc.m_r) for sc in typical] == [(sc.case_id, sc.m_r) for sc in enhanced]
 
 
+@given(case_bundles(valid=False), st.integers(min_value=1, max_value=12))
+def test_validated_case_base_never_raises(bundle, top_k):
+    # Some numerics lack a profile or leave their domain: either validation
+    # rejects the case base, or both modes and diagnose run without raising.
+    case_base, target = bundle
+    violations = [
+        violation
+        for case in case_base.cases.values()
+        for violation in validate_case(case, case_base.taxonomy, case_base.profiles)
+    ]
+    document = encode_case_base(case_base)
+    if violations:
+        with pytest.raises(DocumentValidationError):
+            decode_case_base(document)
+        return
+    decoded = decode_case_base(document)
+    for mode in ScoringMode:
+        retrieve(target, decoded, mode, top_k)
+    diagnose(target, decoded, top_k)
+
+
 def _with_source_descriptor(case_base: CaseBase, source_id: str, descriptor: Descriptor) -> CaseBase:
     """An unvalidated copy of the case base with one source descriptor set."""
     source = case_base.cases[source_id]
@@ -353,3 +379,111 @@ def test_replaced_case_base_scores_its_own_cases(engine_case_base):
     assert [sc.case_id for sc in after] == ["source3", "source1", "source2"]
     assert after[2].m_r == 0.0
     assert retrieve(target, base, ScoringMode.TYPICAL, 3) == before
+
+
+# Sources for the inverted-index cases. The full target records "a", "n" and
+# "z": s1, s2, s6 record "a"; s4, s7 record "n"; no source records "z"; s0,
+# s3 and s5 share nothing with it. The wide target records "c" (s0, s1, s3)
+# in place of "z", so its posting lists hold as many entries as there are
+# sources.
+_INDEX_TAXONOMY = Taxonomy([("root", None), ("a", "root"), ("a1", "a"), ("a2", "a"), ("b", "root")])
+_INDEX_PROFILE = FuzzyProfile(
+    descriptor_id="n",
+    domain_lower=0.0,
+    domain_upper=100.0,
+    prototype=50.0,
+    half_width=10.0,
+    subsets=[FuzzySubset("low", 0.0, 30.0), FuzzySubset("high", 70.0, 100.0)],
+)
+
+
+def _sym(did: str, label: str, state: str | None = "On", uncertain: bool = False) -> Descriptor:
+    return Descriptor(
+        id=did,
+        name=did,
+        value=SymbolicValue(label),
+        state=state,
+        flags=ImperfectionFlags(uncertain=uncertain),
+    )
+
+
+def _index_case(cid: str, kind: CaseKind, *descriptors: Descriptor) -> Case:
+    solution = Solution("a", "fix") if kind is CaseKind.SOURCE else None
+    return Case(id=cid, kind=kind, descriptors={d.id: d for d in descriptors}, solution=solution)
+
+
+_INDEX_SOURCES = [
+    _index_case("s0", CaseKind.SOURCE, _sym("c", "b")),
+    _index_case("s1", CaseKind.SOURCE, _sym("a", "a1"), _sym("c", "b")),
+    _index_case("s2", CaseKind.SOURCE, _sym("a", "a1", state="Off")),  # shares, scores 0
+    _index_case("s3", CaseKind.SOURCE, _sym("c", "a")),
+    _index_case("s4", CaseKind.SOURCE, _numeric("n", 20.0, "u")),
+    _index_case("s5", CaseKind.SOURCE),
+    _index_case("s6", CaseKind.SOURCE, _sym("a", "a2", uncertain=True)),  # 0 only when enhanced
+    _index_case("s7", CaseKind.SOURCE, _numeric("n", 90.0, "u")),  # 0 only when enhanced
+]
+_INDEX_TARGETS = {
+    "full": (_sym("a", "a1"), _numeric("n", 20.0, "u"), _sym("z", "b")),
+    "wide": (_sym("a", "a1"), _numeric("n", 20.0, "u"), _sym("c", "b")),
+    "unrecorded": (_sym("z", "b"),),
+    "empty": (),
+}
+
+
+def _index_case_base(target_name: str, *replaced: Case) -> tuple[CaseBase, Case]:
+    target = _index_case("t", CaseKind.TARGET, *_INDEX_TARGETS[target_name])
+    cases = {c.id: c for c in [*_INDEX_SOURCES, target, *replaced]}
+    return CaseBase(taxonomy=_INDEX_TAXONOMY, profiles={"n": _INDEX_PROFILE}, cases=cases), target
+
+
+@pytest.mark.parametrize("target_name", sorted(_INDEX_TARGETS))
+@pytest.mark.parametrize("top_k", [1, 2, 6, 8, 20])
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_index_ranking_matches_naive_reference(mode, top_k, target_name):
+    case_base, target = _index_case_base(target_name)
+    engine = retrieve(target, case_base, mode, top_k)
+    reference = naive_retrieve(target, case_base, mode is ScoringMode.ENHANCED, top_k)
+    assert [(sc.case_id, sc.m_r) for sc in engine] == reference
+    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+    for sc in engine:
+        assert sc.breakdown_r == retrieval_measure(target, case_base.cases[sc.case_id], ctx).breakdown
+
+
+def test_index_zero_scores_fill_in_id_order():
+    # Past the two positive scores, zero-score sources that share a
+    # descriptor (s2) and sources that share none (s0, s3, s5) interleave.
+    case_base, target = _index_case_base("full")
+    ranking = retrieve(target, case_base, ScoringMode.ENHANCED, 6)
+    assert [sc.case_id for sc in ranking] == ["s1", "s4", "s0", "s2", "s3", "s5"]
+    assert [sc.m_r for sc in ranking] == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    assert [len(sc.breakdown_r) for sc in ranking] == [1, 1, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_index_skips_unscorable_sources_that_share_nothing(mode):
+    # Unvalidated: s0 holds an unknown label and s3 a numeric without a
+    # profile, on a descriptor the target does not record.
+    case_base, target = _index_case_base(
+        "full",
+        _index_case("s0", CaseKind.SOURCE, _sym("c", "warp drive")),
+        _index_case("s3", CaseKind.SOURCE, _numeric("c", 1.0, "bar")),
+    )
+    engine = retrieve(target, case_base, mode, 8)
+    assert [(sc.case_id, sc.m_r) for sc in engine] == naive_retrieve(
+        target, case_base, mode is ScoringMode.ENHANCED, 8
+    )
+
+
+def test_index_first_unscorable_sharing_source_raises():
+    # s2's unknown label comes before s7's out-of-domain numeric in id order.
+    bad_label = _index_case("s2", CaseKind.SOURCE, _sym("a", "warp drive"))
+    bad_numeric = _index_case("s7", CaseKind.SOURCE, _numeric("n", 150.0, "u"))
+    for mode in ScoringMode:
+        case_base, target = _index_case_base("full", bad_label, bad_numeric)
+        with pytest.raises(UnknownLabelError) as err:
+            retrieve(target, case_base, mode, 3)
+        assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+    case_base, target = _index_case_base("full", bad_numeric)
+    with pytest.raises(FuzzyDomainError) as err:
+        retrieve(target, case_base, ScoringMode.ENHANCED, 3)
+    assert str(err.value) == "value 150.0 for descriptor 'n' outside domain [0.0, 100.0]"
