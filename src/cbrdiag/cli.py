@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import codec
@@ -50,7 +49,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(EXIT_IO, f"cannot read {path!r}: {exc}") from None
 
 
@@ -126,14 +125,7 @@ def _query_outcome(args: argparse.Namespace, case_base: CaseBase, target: Case) 
         if mode is not ScoringMode.ENHANCED:
             raise ConfigurationError("adaptation requires enhanced mode")
         return diagnose(target, case_base, top_k=args.top_k)
-    _, corrections, ranking = _retrieve(target, case_base, mode, args.top_k)
-    return DiagnosisOutcome(
-        selected_case_id=None,
-        solution=None,
-        ranking=ranking,
-        mode=mode,
-        corrections_applied=corrections,
-    )
+    return _retrieve(target, case_base, mode, args.top_k)[1]
 
 
 def _print_outcome_table(outcome: DiagnosisOutcome) -> None:
@@ -167,16 +159,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_breakdown(breakdown: list, total_field: str, headers: list[str]) -> None:
-    """Print breakdown rows as a table, one column per field, followed by the
-    running sum of ``total_field``."""
-    rows = []
-    total = 0.0
-    for row in breakdown:
-        total += getattr(row, total_field)
-        cells = [getattr(row, f.name) for f in fields(row)] + [total]
-        rows.append([cell if isinstance(cell, str) else _cell(cell) for cell in cells])
-    for line in _render_table(headers, rows):
+def _print_breakdown(rows: list[dict], headers: list[str]) -> None:
+    """Print encoded breakdown rows as a table, one column per field, the
+    running sum last."""
+    cells = [[cell if isinstance(cell, str) else _cell(cell) for cell in row.values()] for row in rows]
+    for line in _render_table(headers, cells):
         print(line)
 
 
@@ -206,14 +193,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
     for c in corrections:
         print(f"corrected {c.descriptor_id}: {_cell(c.original)} -> {_cell(c.corrected)}")
     _print_breakdown(
-        retrieval.breakdown,
-        "product",
+        codec.with_running_sums(retrieval.breakdown, "product"),
         ["descriptor", "phi_value", "phi_state", "phi_presence", "phi_om", "product", "running"],
     )
     print(f"M_R = {retrieval.score!r}")
     print("adaptation:")
     _print_breakdown(
-        adaptation.breakdown, "term", ["descriptor", "lambda", "phi_presence", "phi_value", "term", "running"]
+        codec.with_running_sums(adaptation.breakdown, "term"),
+        ["descriptor", "lambda", "phi_presence", "phi_value", "term", "running"],
     )
     print(f"M_A = {adaptation.score!r}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 from .adaptation import AdaptationResult, AdaptationTerm
 from .cases import (
@@ -40,7 +40,7 @@ FORMAT_VERSION = 1
 _MODE_CODES = {OperatingMode.NORMAL: "N", OperatingMode.ABNORMAL: "A"}
 
 
-def _fail(path: str, message: str) -> None:
+def _fail(path: str, message: str) -> NoReturn:
     raise DocumentSyntaxError(f"{path}: {message}")
 
 
@@ -145,7 +145,7 @@ def _dump(doc: dict) -> str:
 def _parse_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers and too-deep nesting
         raise DocumentSyntaxError(f"document is not valid JSON: {exc}") from None
 
 
@@ -165,7 +165,6 @@ def _decode_operating_mode(value: Any, path: str) -> OperatingMode:
         if code == mode_code:
             return mode
     _fail(path, f"expected \"N\", \"A\", or null, got {code!r}")
-    raise AssertionError("unreachable")
 
 
 def _decode_value(value: Any, path: str) -> SymbolicValue | NumericValue:
@@ -178,7 +177,6 @@ def _decode_value(value: Any, path: str) -> SymbolicValue | NumericValue:
             unit=_str(_get(obj, "unit", path), f"{path}.unit"),
         )
     _fail(path, "expected a \"symbolic\" or \"numeric\" value")
-    raise AssertionError("unreachable")
 
 
 def _decode_descriptor(value: Any, path: str) -> Descriptor:
@@ -360,7 +358,7 @@ def encode_outcome(outcome: DiagnosisOutcome) -> str:
     return _dump(doc)
 
 
-def _with_running_sums(rows: list, total_field: str) -> list[dict]:
+def with_running_sums(rows: list, total_field: str) -> list[dict]:
     """Encoded rows, each with the running sum of ``total_field`` through it."""
     total = 0.0
     encoded = []
@@ -388,9 +386,9 @@ def encode_explanation(
         "source_id": source_id,
         "corrections_applied": [_encode_row(c) for c in corrections],
         "m_r": retrieval.score,
-        "retrieval_rows": _with_running_sums(retrieval.breakdown, "product"),
+        "retrieval_rows": with_running_sums(retrieval.breakdown, "product"),
         "m_a": adaptation.score,
-        "adaptation_rows": _with_running_sums(adaptation.breakdown, "term"),
+        "adaptation_rows": with_running_sums(adaptation.breakdown, "term"),
     }
     return _dump(doc)
 

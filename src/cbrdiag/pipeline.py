@@ -75,9 +75,9 @@ def prepare_target(
 
 def _retrieve(
     target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int
-) -> tuple[Case, list[Correction], list[ScoredCase]]:
-    """Retrieval as :func:`retrieve` runs it, also returning the target as
-    scored and the correction log."""
+) -> tuple[Case, DiagnosisOutcome]:
+    """Retrieval as :func:`retrieve` runs it: the target as scored and the
+    outcome with its ranking and correction log but no selection."""
     if top_k < 1:
         raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
     corrections: list[Correction] = []
@@ -87,7 +87,13 @@ def _retrieve(
         ScoredCase(case_id=case_id, m_r=result.score, breakdown_r=result.breakdown)
         for case_id, result in rank_sources(target, case_base, mode, top_k)
     ]
-    return target, corrections, ranking
+    return target, DiagnosisOutcome(
+        selected_case_id=None,
+        solution=None,
+        ranking=ranking,
+        mode=mode,
+        corrections_applied=corrections,
+    )
 
 
 def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -> list[ScoredCase]:
@@ -97,7 +103,7 @@ def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -
     In enhanced mode the target is corrected first. An empty case base gives
     an empty list.
     """
-    return _retrieve(target, case_base, mode, top_k)[2]
+    return _retrieve(target, case_base, mode, top_k)[1].ranking
 
 
 def diagnose(target: Case, case_base: CaseBase, top_k: int = 3) -> DiagnosisOutcome:
@@ -106,29 +112,22 @@ def diagnose(target: Case, case_base: CaseBase, top_k: int = 3) -> DiagnosisOutc
     Selection is the retrieved case with the highest adaptation score, ties
     broken by higher retrieval score and then case id. The outcome carries
     the selected case's solution, both breakdowns for every retrieved case,
-    and the correction log.
+    and the correction log; with nothing retrieved, nothing is selected.
     """
-    prepared, corrections, retrieved = _retrieve(target, case_base, ScoringMode.ENHANCED, top_k)
+    prepared, retrieved = _retrieve(target, case_base, ScoringMode.ENHANCED, top_k)
+    if not retrieved.ranking:
+        return retrieved
     ctx = ScoringContext(
         taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=ScoringMode.ENHANCED
     )
     ranking: list[ScoredCase] = []
-    for sc in retrieved:
+    for sc in retrieved.ranking:
         result = adaptation_measure(prepared, case_base.cases[sc.case_id], ctx)
         ranking.append(replace(sc, m_a=result.score, breakdown_a=result.breakdown))
-    if not ranking:
-        return DiagnosisOutcome(
-            selected_case_id=None,
-            solution=None,
-            ranking=[],
-            mode=ScoringMode.ENHANCED,
-            corrections_applied=corrections,
-        )
     selected = min(ranking, key=lambda sc: (-sc.m_a, -sc.m_r, sc.case_id))
-    return DiagnosisOutcome(
+    return replace(
+        retrieved,
         selected_case_id=selected.case_id,
         solution=case_base.cases[selected.case_id].solution,
         ranking=ranking,
-        mode=ScoringMode.ENHANCED,
-        corrections_applied=corrections,
     )

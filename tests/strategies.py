@@ -162,7 +162,7 @@ def case_bundles(
     taxonomy = draw(taxonomies())
     schema = draw(descriptor_schemas())
     profiles = {did: p for did, p in schema.items() if p is not None}
-    target = draw(cases("t", CaseKind.TARGET, schema, taxonomy, valid=valid))
+    target = draw(cases("t", CaseKind.TARGET, schema, taxonomy, min_descriptors=1, valid=valid))
     all_cases = {target.id: target}
     for i in range(count):
         c = draw(cases(f"s{i}", CaseKind.SOURCE, schema, taxonomy, valid=valid))

@@ -83,6 +83,23 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "cannot read"),
+        (b"[" * 200_000, "document is not valid JSON"),
+        (b'{"format_version": 1' + b"0" * 5000 + b"}", "document is not valid JSON"),
+    ],
+    ids=["not-utf-8", "deep", "long-integer"],
+)
+def test_validate_unreadable_document_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "validate", "--case-base", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_validate_missing_profile(capsys, tmp_path, fixture_text):
     doc = json.loads(fixture_text)
     doc["fuzzy_profiles"] = []
@@ -203,6 +220,35 @@ def test_query_target_as_document_matches_target_as_id(capsys, tmp_path, fixture
         capsys, "query", "--case-base", fixture_path, "--target", str(target_doc), "--adapt"
     )
     assert by_id == by_path
+
+
+# The outcome of a case base whose only case is the target: nothing ranked,
+# nothing selected, the correction log kept.
+EMPTY_RANKING_OUTCOME = """\
+{
+  "corrections_applied": [
+    {
+      "corrected": 100.0,
+      "descriptor_id": "ds3",
+      "original": 95.0
+    }
+  ],
+  "format_version": 1,
+  "mode": "enhanced",
+  "ranking": [],
+  "selected_case_id": null,
+  "solution": null
+}
+"""
+
+
+@pytest.mark.parametrize("options", [[], ["--adapt"]])
+def test_query_without_sources_prints_empty_outcome(capsys, tmp_path, fixture_text, options):
+    def edit(doc):
+        doc["cases"] = [c for c in doc["cases"] if c["kind"] == "target"]
+
+    path = _write_fixture_variant(tmp_path, fixture_text, edit)
+    assert run_cli(capsys, "query", "--case-base", path, *options) == (0, EMPTY_RANKING_OUTCOME, "")
 
 
 def test_explain_source1_typical_table(capsys, fixture_path):

@@ -61,8 +61,24 @@ def test_unsupported_version(fixture_text):
 
 
 def test_malformed_json():
-    with pytest.raises(DocumentSyntaxError):
+    with pytest.raises(DocumentSyntaxError, match="^document is not valid JSON: Expecting"):
         decode_case_base("{not json")
+
+
+# Text the JSON parser refuses with other errors than JSONDecodeError: nesting
+# past the recursion limit (RecursionError) and an integer literal longer than
+# the interpreter converts (ValueError; CPython limits these to 4,300 digits).
+UNPARSABLE_JSON = {
+    "deep": "[" * 200_000,
+    "long-integer": '{"format_version": 1' + "0" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("decode", [decode_case_base, decode_outcome])
+@pytest.mark.parametrize("name", sorted(UNPARSABLE_JSON))
+def test_unparsable_json_is_a_document_error(decode, name):
+    with pytest.raises(DocumentSyntaxError, match="^document is not valid JSON: "):
+        decode(UNPARSABLE_JSON[name])
 
 
 def test_wrong_shape():
