@@ -12,9 +12,11 @@ concurrent scorers.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import gc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 
 from .errors import FuzzyDomainError
 
@@ -48,7 +50,14 @@ class ImperfectionFlags:
     uncertain: bool = False
 
 
-CLEAN = ImperfectionFlags()
+# Every flag value there is, keyed by (imprecise, uncertain). Decoding shares
+# these four objects instead of building one per descriptor.
+FLAG_VALUES = {
+    (imprecise, uncertain): ImperfectionFlags(imprecise=imprecise, uncertain=uncertain)
+    for imprecise in (False, True)
+    for uncertain in (False, True)
+}
+CLEAN = FLAG_VALUES[False, False]
 
 
 @dataclass(frozen=True)
@@ -155,6 +164,24 @@ class CaseBase:
 
     def targets(self) -> list[Case]:
         return [self.cases[cid] for cid in sorted(self.cases) if self.cases[cid].kind is CaseKind.TARGET]
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a case base is built.
+
+    Decoding and compiling allocate many tracked objects and build no
+    cycles, so every collection meanwhile would walk all of them for
+    nothing. The caller's state is restored on every exit: the collector is
+    re-enabled only if it was enabled on entry. The switch is process-wide.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def validate_case(

@@ -22,11 +22,12 @@ from .cases import (
     CaseBase,
     CaseKind,
     Descriptor,
-    ImperfectionFlags,
+    FLAG_VALUES,
     NumericValue,
     OperatingMode,
     Solution,
     SymbolicValue,
+    _collector_paused,
     validate_case,
 )
 from .errors import DocumentSyntaxError, DocumentValidationError
@@ -65,6 +66,12 @@ def _get(obj: dict, key: str, path: str) -> Any:
 def _str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {type(value).__name__}")
+    # JSON escapes can spell lone surrogates, which no output can encode.
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            _fail(path, f"expected a string UTF-8 can encode, got {value!r}")
     return value
 
 def _opt_str(value: Any, path: str) -> Optional[str]:
@@ -187,10 +194,10 @@ def _decode_descriptor(value: Any, path: str) -> Descriptor:
         value=_decode_value(_get(obj, "value", path), f"{path}.value"),
         state=_opt_str(obj.get("state"), f"{path}.state"),
         operating_mode=_decode_operating_mode(obj.get("operating_mode"), f"{path}.operating_mode"),
-        flags=ImperfectionFlags(
-            imprecise=_bool(obj.get("imprecise", False), f"{path}.imprecise"),
-            uncertain=_bool(obj.get("uncertain", False), f"{path}.uncertain"),
-        ),
+        flags=FLAG_VALUES[
+            _bool(obj.get("imprecise", False), f"{path}.imprecise"),
+            _bool(obj.get("uncertain", False), f"{path}.uncertain"),
+        ],
     )
 
 
@@ -214,6 +221,7 @@ def _decode_case(value: Any, path: str, violations: list[str]) -> Case:
     return Case(id=case_id, kind=kind, descriptors=descriptors, solution=solution)
 
 
+@_collector_paused()
 def decode_case_base(text: str, validate: bool = True) -> CaseBase:
     """Parse and validate a case-base document.
 
@@ -221,7 +229,8 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
     schema (bad JSON, bad shapes, unknown format version), and
     DocumentValidationError, carrying every violation found, when it can.
     With validate=False the per-case semantic checks are skipped, for callers
-    that validate against a different context afterwards.
+    that validate against a different context afterwards. The cyclic garbage
+    collector is paused while it runs and left as the caller had it.
     """
     doc = _as_dict(_parse_json(text), "$")
     _check_version(doc)

@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, SymbolicValue
+from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, SymbolicValue, _collector_paused
 from .errors import MissingProfileError
 from .fuzzy import FuzzyProfile, classify_subset, same_class
 from .taxonomy import Taxonomy
@@ -256,19 +256,20 @@ def _compiled_sources(
 ) -> tuple[tuple[tuple[Case, dict[str, tuple]], ...], dict[str, tuple[int, ...]]]:
     """The case base's sources in id order, each with its records, and the
     inverted index from descriptor id to the increasing positions of the
-    sources that record it; compiled on the first call and cached on the
-    case base."""
+    sources that record it; compiled on the first call, with the cyclic
+    garbage collector paused, and cached on the case base."""
     compiled = case_base._compiled
     if compiled is None:
         ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
         sources = []
         postings: defaultdict[str, list[int]] = defaultdict(list)
-        for position, source in enumerate(case_base.sources()):
-            records = _source_records(source, ctx)
-            sources.append((source, records))
-            for did in records:
-                postings[did].append(position)
-        compiled = (tuple(sources), {did: tuple(p) for did, p in postings.items()})
+        with _collector_paused():
+            for position, source in enumerate(case_base.sources()):
+                records = _source_records(source, ctx)
+                sources.append((source, records))
+                for did in records:
+                    postings[did].append(position)
+            compiled = (tuple(sources), {did: tuple(p) for did, p in postings.items()})
         object.__setattr__(case_base, "_compiled", compiled)
     return compiled
 

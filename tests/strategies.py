@@ -10,10 +10,11 @@ profile and some lie outside their profile's domain, so ``validate`` may
 reject the case base.
 
 Schemas reach forty ids while a case records at most twelve, and usually a
-handful, so in wide schemas many sources share no descriptor with the
-target. Cases still disagree in ways scoring must handle: a profiled id may
-be symbolic in some cases, numerics of one id may carry different units, and
-states may differ only in letter case.
+handful. Three sources in four record some of the target's ids, so almost
+every target shares a descriptor with some source, while many bundles also
+hold sources that share none. Cases still disagree in ways scoring must
+handle: a profiled id may be symbolic in some cases, numerics of one id may
+carry different units, and states may differ only in letter case.
 """
 
 from __future__ import annotations
@@ -135,10 +136,16 @@ def cases(
     min_descriptors: int = 0,
     allow_flags: bool = True,
     valid: bool = True,
+    shared: tuple[str, ...] = (),
 ) -> Case:
     chosen = draw(
         st.lists(st.sampled_from(sorted(schema)), unique=True, min_size=min_descriptors, max_size=12)
     )
+    if shared and draw(st.sampled_from([True, True, True, False])):
+        # Three cases in four record some of the ``shared`` ids in place of
+        # ids drawn from the schema, keeping their size, or one id.
+        picked = draw(st.lists(st.sampled_from(shared), unique=True, min_size=1))
+        chosen = (picked + [did for did in chosen if did not in picked])[: max(len(chosen), 1)]
     built = {
         did: draw(descriptors(did, schema[did], taxonomy, allow_flags=allow_flags, valid=valid))
         for did in chosen
@@ -164,8 +171,11 @@ def case_bundles(
     profiles = {did: p for did, p in schema.items() if p is not None}
     target = draw(cases("t", CaseKind.TARGET, schema, taxonomy, min_descriptors=1, valid=valid))
     all_cases = {target.id: target}
+    # Sources draw part of their ids from the target's, so that few targets
+    # share no descriptor with any source.
+    shared = tuple(sorted(target.descriptors))
     for i in range(count):
-        c = draw(cases(f"s{i}", CaseKind.SOURCE, schema, taxonomy, valid=valid))
+        c = draw(cases(f"s{i}", CaseKind.SOURCE, schema, taxonomy, valid=valid, shared=shared))
         all_cases[c.id] = c
     return CaseBase(taxonomy=taxonomy, profiles=profiles, cases=all_cases), target
 

@@ -89,8 +89,13 @@ def test_validate_missing_file(capsys, tmp_path):
         (b"\xff\xfe{}", "cannot read"),
         (b"[" * 200_000, "document is not valid JSON"),
         (b'{"format_version": 1' + b"0" * 5000 + b"}", "document is not valid JSON"),
+        (
+            b'{"format_version": 1, "taxonomy": [{"name": "root\\ud800", "parent": null}],'
+            b' "fuzzy_profiles": [], "cases": []}',
+            "$.taxonomy[0].name: expected a string UTF-8 can encode, got 'root\\ud800'",
+        ),
     ],
-    ids=["not-utf-8", "deep", "long-integer"],
+    ids=["not-utf-8", "deep", "long-integer", "lone-surrogate"],
 )
 def test_validate_unreadable_document_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "hostile.json"

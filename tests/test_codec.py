@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from cbrdiag import (
     encode_outcome,
     retrieve,
 )
+from cbrdiag.cases import FLAG_VALUES
 from strategies import case_bundles
 
 
@@ -181,6 +183,105 @@ def test_bad_operating_mode_code():
     )
     with pytest.raises(DocumentSyntaxError, match="operating_mode"):
         decode_case_base(document)
+
+
+def _json_path(keys: tuple) -> str:
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)
+
+
+def _replaced(document: dict, keys: tuple, value) -> dict:
+    *parents, last = keys
+    container = document
+    for key in parents:
+        container = container[key]
+    container[last] = value
+    return document
+
+
+# One string of every kind the fixture holds, by its path of keys.
+STRING_FIELDS = [
+    ("taxonomy", 0, "name"),
+    ("taxonomy", 0, "parent"),
+    ("fuzzy_profiles", 0, "subsets", 0, "label"),
+    ("cases", 0, "id"),
+    ("cases", 0, "kind"),
+    ("cases", 0, "descriptors", 1, "name"),
+    ("cases", 0, "descriptors", 1, "value", "symbolic"),
+    ("cases", 0, "descriptors", 1, "state"),
+    ("cases", 0, "descriptors", 1, "operating_mode"),
+    ("cases", 0, "solution", "action"),
+    ("cases", 1, "descriptors", 2, "value", "unit"),
+]
+
+
+@pytest.mark.parametrize("keys", STRING_FIELDS, ids=_json_path)
+def test_lone_surrogate_rejected_with_path(fixture_text, keys):
+    # A JSON escape can spell half a surrogate pair, which no output encodes.
+    document = _replaced(json.loads(fixture_text), keys, "x\ud800")
+    with pytest.raises(DocumentSyntaxError) as excinfo:
+        decode_case_base(json.dumps(document))
+    assert str(excinfo.value) == f"{_json_path(keys)}: expected a string UTF-8 can encode, got 'x\\ud800'"
+
+
+def test_lone_surrogate_in_outcome_rejected_with_path(engine_case_base):
+    doc = json.loads(encode_outcome(diagnose(engine_case_base.cases["target"], engine_case_base)))
+    doc["ranking"][0]["case_id"] = "\udfff"
+    with pytest.raises(DocumentSyntaxError, match=r"^\$\.ranking\[0\]\.case_id: expected a string UTF-8"):
+        decode_outcome(json.dumps(doc))
+
+
+def test_non_ascii_strings_decode(fixture_text):
+    # An escaped surrogate pair is one character outside the BMP.
+    text = fixture_text.replace('"Camshaft"', '"Cam \\ud83d\\udd27 \u00e9"')
+    case_base = decode_case_base(text)
+    assert case_base.cases["source1"].solution.failing_component == "Cam \U0001f527 \u00e9"
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run the test with the cyclic garbage collector on, then off."""
+    enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    "keys, value, error",
+    [
+        (None, None, None),
+        (("cases", 0, "id"), 7, DocumentSyntaxError),
+        (("cases", 0, "descriptors", 1, "value", "symbolic"), "warp drive", DocumentValidationError),
+    ],
+    ids=["valid", "syntax-error", "validation-error"],
+)
+def test_loading_leaves_the_collector_as_found(fixture_text, collector, keys, value, error):
+    if keys is None:
+        case_base = decode_case_base(fixture_text)
+        assert gc.isenabled() is collector
+        # The first query compiles the sources.
+        retrieve(case_base.cases["target"], case_base, ScoringMode.ENHANCED, 3)
+    else:
+        document = _replaced(json.loads(fixture_text), keys, value)
+        with pytest.raises(error):
+            decode_case_base(json.dumps(document))
+    assert gc.isenabled() is collector
+
+
+def test_decoded_descriptors_share_flag_objects(fixture_text):
+    document = json.loads(fixture_text)
+    for i, descriptor in enumerate(d for case in document["cases"] for d in case["descriptors"]):
+        descriptor["imprecise"], descriptor["uncertain"] = bool(i % 2), bool(i // 2 % 2)
+    case_base = decode_case_base(json.dumps(document))
+    flags = [d.flags for case in case_base.cases.values() for d in case.descriptors.values()]
+    assert len(flags) > 4
+    assert {id(f) for f in flags} == {id(f) for f in FLAG_VALUES.values()}
 
 
 @given(case_bundles())
