@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import os
 import json
 from dataclasses import replace
 
@@ -440,3 +441,50 @@ def test_single_field_mutation_fails_only_as_a_document_error(fixture_text, data
         for mode in ScoringMode:
             retrieve(target, case_base, mode, 3)
         diagnose(target, case_base)
+
+
+# Replacements for the single-fault error-text golden: a value of each JSON
+# scalar type, an integer where floats are written, a non-finite number, a
+# lone surrogate, a non-ASCII string (any checker accepts it, no label or code
+# matches it) and an object.
+FAULT_VALUES = [None, True, 0, 1.5, float("nan"), "\ud800", "é", {}]
+
+GOLDEN_DECODE_ERRORS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "decode_errors.txt")
+
+
+def _decode_outcome(document: dict) -> str:
+    try:
+        decode_case_base(json.dumps(document))
+    except (DocumentSyntaxError, DocumentValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def decode_error_lines(fixture_text: str) -> list[str]:
+    """One line per single fault in the fixture, ``path<TAB>replacement<TAB>
+    outcome``: every object key deleted, then every value replaced by each
+    of ``FAULT_VALUES``."""
+    lines = []
+    paths = [path for path, _ in _json_items(json.loads(fixture_text))]
+    for keys in paths:
+        if isinstance(keys[-1], str):
+            document = json.loads(fixture_text)
+            *parents, last = keys
+            container = document
+            for key in parents:
+                container = container[key]
+            del container[last]
+            lines.append(f"{_json_path(keys)}\t(deleted)\t{_decode_outcome(document)}")
+    for keys in paths:
+        for value in FAULT_VALUES:
+            document = _replaced(json.loads(fixture_text), keys, value)
+            lines.append(f"{_json_path(keys)}\t{json.dumps(value)}\t{_decode_outcome(document)}")
+    return lines
+
+
+def test_single_fault_error_text_matches_golden(fixture_text):
+    # Pins the exact message of every single-fault decode, so a faster decoder
+    # must report the first error where and as the checkers always have.
+    with open(GOLDEN_DECODE_ERRORS, encoding="utf-8") as handle:
+        expected = handle.read().splitlines()
+    assert decode_error_lines(fixture_text) == expected
