@@ -201,22 +201,21 @@ def validate_case(
     violations: list[str] = []
     for key in sorted(case.descriptors):
         d = case.descriptors[key]
-        where = f"{case.id}/{key}"
         if d.id != key:
-            violations.append(f"{where}: descriptor id {d.id!r} does not match its key")
+            violations.append(f"{case.id}/{key}: descriptor id {d.id!r} does not match its key")
         if isinstance(d.value, SymbolicValue):
             if not taxonomy.contains(d.value.label):
-                violations.append(f"{where}: unknown taxonomy label {d.value.label!r}")
+                violations.append(f"{case.id}/{key}: unknown taxonomy label {d.value.label!r}")
         elif isinstance(d.value, NumericValue):
             profile = profiles.get(d.id)
             if profile is None:
                 kind = "imprecise numeric" if d.flags.imprecise else "numeric"
-                violations.append(f"{where}: {kind} descriptor has no fuzzy profile")
+                violations.append(f"{case.id}/{key}: {kind} descriptor has no fuzzy profile")
             else:
                 try:
                     profile.check_domain(d.value.magnitude)
                 except FuzzyDomainError as exc:
-                    violations.append(f"{where}: {exc}")
+                    violations.append(f"{case.id}/{key}: {exc}")
     if case.solution is not None and not taxonomy.contains(case.solution.failing_component):
         violations.append(
             f"{case.id}/solution: unknown taxonomy label {case.solution.failing_component!r}"

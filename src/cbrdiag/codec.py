@@ -39,6 +39,7 @@ from .taxonomy import Taxonomy
 FORMAT_VERSION = 1
 
 _MODE_CODES = {OperatingMode.NORMAL: "N", OperatingMode.ABNORMAL: "A"}
+_OPERATING_MODES = {None: OperatingMode.UNSPECIFIED, **{code: mode for mode, code in _MODE_CODES.items()}}
 
 
 def _fail(path: str, message: str) -> NoReturn:
@@ -165,43 +166,68 @@ def _check_version(doc: dict) -> None:
 
 
 def _decode_operating_mode(value: Any, path: str) -> OperatingMode:
-    if value is None:
-        return OperatingMode.UNSPECIFIED
-    code = _str(value, path)
-    for mode, mode_code in _MODE_CODES.items():
-        if code == mode_code:
-            return mode
-    _fail(path, f"expected \"N\", \"A\", or null, got {code!r}")
+    mode = _OPERATING_MODES.get(_opt_str(value, path))
+    if mode is None:
+        _fail(path, f"expected \"N\", \"A\", or null, got {value!r}")
+    return mode
 
 
-def _decode_value(value: Any, path: str) -> SymbolicValue | NumericValue:
-    obj = _as_dict(value, path)
-    if "symbolic" in obj:
-        return SymbolicValue(label=_str(obj["symbolic"], f"{path}.symbolic"))
-    if "numeric" in obj:
-        return NumericValue(
-            magnitude=_num(obj["numeric"], f"{path}.numeric"),
-            unit=_str(_get(obj, "unit", path), f"{path}.unit"),
-        )
-    _fail(path, "expected a \"symbolic\" or \"numeric\" value")
+def _decode_descriptor(value: Any, path: str, i: int, labels: dict[str, SymbolicValue]) -> Descriptor:
+    """Decode ``{path}[{i}]``, a descriptor object.
+
+    Each field is checked inline, in the order id, name, value, state,
+    operating_mode, imprecise, uncertain. Only an irregular field goes to the
+    checker that owns it, with its path; the checker raises the error, or
+    accepts the field (a non-ASCII string, an integer magnitude). So path
+    strings are built only for errors. Symbolic values are taken from
+    ``labels``, one per label in a decode.
+    """
+    obj = value if type(value) is dict else _as_dict(value, f"{path}[{i}]")
+    did = obj.get("id")
+    if type(did) is not str or not did.isascii():
+        did = _str(_get(obj, "id", f"{path}[{i}]"), f"{path}[{i}].id")
+    name = obj.get("name")
+    if type(name) is not str or not name.isascii():
+        name = _str(_get(obj, "name", f"{path}[{i}]"), f"{path}[{i}].name")
+    raw = obj.get("value")
+    if type(raw) is not dict:
+        raw = _as_dict(_get(obj, "value", f"{path}[{i}]"), f"{path}[{i}].value")
+    if "symbolic" in raw:
+        label = raw["symbolic"]
+        if type(label) is not str or not label.isascii():
+            label = _str(label, f"{path}[{i}].value.symbolic")
+        symbolic = labels.get(label)
+        if symbolic is None:
+            symbolic = labels[label] = SymbolicValue(label)
+        decoded: SymbolicValue | NumericValue = symbolic
+    elif "numeric" in raw:
+        magnitude = raw["numeric"]
+        if type(magnitude) is not float or not math.isfinite(magnitude):
+            magnitude = _num(magnitude, f"{path}[{i}].value.numeric")
+        unit = raw.get("unit")
+        if type(unit) is not str or not unit.isascii():
+            unit = _str(_get(raw, "unit", f"{path}[{i}].value"), f"{path}[{i}].value.unit")
+        decoded = NumericValue(magnitude, unit)
+    else:
+        _fail(f"{path}[{i}].value", "expected a \"symbolic\" or \"numeric\" value")
+    state = obj.get("state")
+    if state is not None and (type(state) is not str or not state.isascii()):
+        state = _str(state, f"{path}[{i}].state")
+    code = obj.get("operating_mode")
+    try:
+        mode = _OPERATING_MODES[code]
+    except (KeyError, TypeError):
+        mode = _decode_operating_mode(code, f"{path}[{i}].operating_mode")
+    imprecise = obj.get("imprecise", False)
+    if type(imprecise) is not bool:
+        imprecise = _bool(imprecise, f"{path}[{i}].imprecise")
+    uncertain = obj.get("uncertain", False)
+    if type(uncertain) is not bool:
+        uncertain = _bool(uncertain, f"{path}[{i}].uncertain")
+    return Descriptor(did, name, decoded, state, mode, FLAG_VALUES[imprecise, uncertain])
 
 
-def _decode_descriptor(value: Any, path: str) -> Descriptor:
-    obj = _as_dict(value, path)
-    return Descriptor(
-        id=_str(_get(obj, "id", path), f"{path}.id"),
-        name=_str(_get(obj, "name", path), f"{path}.name"),
-        value=_decode_value(_get(obj, "value", path), f"{path}.value"),
-        state=_opt_str(obj.get("state"), f"{path}.state"),
-        operating_mode=_decode_operating_mode(obj.get("operating_mode"), f"{path}.operating_mode"),
-        flags=FLAG_VALUES[
-            _bool(obj.get("imprecise", False), f"{path}.imprecise"),
-            _bool(obj.get("uncertain", False), f"{path}.uncertain"),
-        ],
-    )
-
-
-def _decode_case(value: Any, path: str, violations: list[str]) -> Case:
+def _decode_case(value: Any, path: str, violations: list[str], labels: dict[str, SymbolicValue]) -> Case:
     obj = _as_dict(value, path)
     case_id = _str(_get(obj, "id", path), f"{path}.id")
     kind_code = _str(_get(obj, "kind", path), f"{path}.kind")
@@ -210,10 +236,11 @@ def _decode_case(value: Any, path: str, violations: list[str]) -> Case:
     except ValueError:
         _fail(f"{path}.kind", f"expected \"source\" or \"target\", got {kind_code!r}")
     descriptors: dict[str, Descriptor] = {}
-    for i, rec in enumerate(_as_list(_get(obj, "descriptors", path), f"{path}.descriptors")):
-        d = _decode_descriptor(rec, f"{path}.descriptors[{i}]")
+    list_path = f"{path}.descriptors"
+    for i, rec in enumerate(_as_list(_get(obj, "descriptors", path), list_path)):
+        d = _decode_descriptor(rec, list_path, i, labels)
         if d.id in descriptors:
-            violations.append(f"{path}.descriptors[{i}].id: duplicate descriptor id {d.id!r}")
+            violations.append(f"{list_path}[{i}].id: duplicate descriptor id {d.id!r}")
             continue
         descriptors[d.id] = d
     raw_solution = obj.get("solution")
@@ -277,9 +304,10 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
 
     cases: dict[str, Case] = {}
     case_paths: dict[str, str] = {}
+    labels: dict[str, SymbolicValue] = {}
     for i, rec in enumerate(_as_list(_get(doc, "cases", "$"), "$.cases")):
         path = f"$.cases[{i}]"
-        case = _decode_case(rec, path, violations)
+        case = _decode_case(rec, path, violations, labels)
         if case.id in cases:
             violations.append(f"{path}.id: duplicate case id {case.id!r}")
             continue

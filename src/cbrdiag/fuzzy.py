@@ -9,6 +9,7 @@ far bound of the subset it falls in.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -34,8 +35,8 @@ class FuzzySubset:
 class FuzzyProfile:
     """Fuzzy description of one numeric descriptor's value domain.
 
-    Subsets must be pairwise disjoint (shared endpoints count as overlap) and
-    lie inside the domain. Any iterable of subsets is accepted; they are kept
+    The domain's span must be a finite float. Subsets must be pairwise
+    disjoint (shared endpoints count as overlap) and lie inside the domain. Any iterable of subsets is accepted; they are kept
     as a tuple sorted by lower bound.
     """
 
@@ -52,6 +53,12 @@ class FuzzyProfile:
             raise ValueError(
                 f"profile {self.descriptor_id!r}: prototype {self.prototype!r} outside domain "
                 f"[{self.domain_lower!r}, {self.domain_upper!r}]"
+            )
+        # Closeness divides by the span, so it must be a finite float too.
+        if not math.isfinite(self.domain_upper - self.domain_lower):
+            raise ValueError(
+                f"profile {self.descriptor_id!r}: domain span "
+                f"{self.domain_upper - self.domain_lower!r} is not finite"
             )
         if not self.half_width > 0:
             raise ValueError(f"profile {self.descriptor_id!r}: half_width must be positive")

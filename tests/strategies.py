@@ -15,9 +15,15 @@ every target shares a descriptor with some source, while many bundles also
 hold sources that share none. Cases still disagree in ways scoring must
 handle: a profiled id may be symbolic in some cases, numerics of one id may
 carry different units, and states may differ only in letter case.
+
+Documents are attacked with single-field mutations: one value replaced by
+any JSON value, strings drawn from all of Unicode, or one key deleted.
 """
 
 from __future__ import annotations
+
+import copy
+from typing import Any, Iterator
 
 from hypothesis import strategies as st
 
@@ -195,3 +201,56 @@ def clean_cases(draw) -> tuple[CaseBase, Case]:
 
 def magnitudes() -> st.SearchStrategy[float]:
     return st.integers(min_value=0, max_value=100).map(float)
+
+
+def wide_text(max_size: int = 8) -> st.SearchStrategy[str]:
+    """Strings over all of Unicode, often with lone surrogates (category Cs,
+    which Hypothesis's default alphabet leaves out) and characters outside
+    the BMP."""
+    alphabet = st.one_of(
+        st.characters(exclude_categories=()),
+        st.characters(categories=["Cs"]),
+        st.characters(min_codepoint=0x10000),
+    )
+    return st.text(alphabet, max_size=max_size)
+
+
+def json_items(node: Any, path: tuple = ()) -> Iterator[tuple[tuple, Any]]:
+    """Every value below a parsed JSON ``node`` with its path of keys and
+    indexes."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from json_items(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | wide_text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(wide_text(), children, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def single_field_mutations(draw, document: dict) -> dict:
+    """A copy of a parsed JSON document with one value replaced (NaN and
+    infinities included) or one object key deleted."""
+    document = copy.deepcopy(document)
+    items = list(json_items(document))
+    *parents, last = draw(st.sampled_from([path for path, _ in items]))
+    container = document
+    for key in parents:
+        container = container[key]
+    if isinstance(container, dict) and draw(st.booleans()):
+        del container[last]
+    else:
+        # A scalar already in the document often has the right type, so the
+        # mutation gets past the syntax checks to the semantic ones.
+        scalars = [value for _, value in items if not isinstance(value, (dict, list))]
+        container[last] = draw(st.sampled_from(scalars) | JSON_VALUES)
+    return document

@@ -6,23 +6,30 @@ console script to prove the entry point resolves.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cbrdiag import (
     ScoringContext,
     ScoringMode,
     adaptation_measure,
     decode_outcome,
+    encode_case_base,
     prepare_target,
     retrieval_measure,
 )
 from cbrdiag.cli import main
+from strategies import case_bundles, single_field_mutations, wide_text
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +139,24 @@ def test_validate_numeric_outside_profile_domain(capsys, tmp_path, fixture_text)
     violation = "$.cases[2]: source3/ds3: value 150.0 for descriptor 'ds3' outside domain [0.0, 100.0]"
     assert run_cli(capsys, "validate", "--case-base", path) == (1, violation + "\n", "")
     assert run_cli(capsys, "query", "--case-base", path) == (1, "", f"error: {violation}\n")
+
+
+def test_validate_rejects_a_profile_whose_span_overflows(capsys, tmp_path, fixture_text):
+    # Typical closeness divides by the span: an infinite one would score
+    # magnitudes at opposite ends of the domain as identical.
+    def edit(doc):
+        doc["fuzzy_profiles"][0].update(domain_lower=-1.7e308, domain_upper=1.7e308)
+        assert doc["cases"][3]["descriptors"][3]["id"] == "ds3"
+        doc["cases"][3]["descriptors"][3]["value"]["numeric"] = -1.7e308
+        assert doc["cases"][1]["descriptors"][2]["id"] == "ds3"
+        doc["cases"][1]["descriptors"][2]["value"]["numeric"] = 1.7e308
+
+    path = _write_fixture_variant(tmp_path, fixture_text, edit)
+    code, out, err = run_cli(capsys, "validate", "--case-base", path)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "$.fuzzy_profiles[0]: profile 'ds3': domain span inf is not finite"
+    code, out, err = run_cli(capsys, "explain", "--case-base", path, "--source", "source2", "--mode", "typical")
+    assert (code, out) == (1, "")
 
 
 def test_validate_numeric_without_profile(capsys, tmp_path, fixture_text):
@@ -434,3 +459,74 @@ def test_console_script(fixture_path):
     )
     assert result.returncode == 0
     assert result.stdout == "OK\n"
+
+
+def _run_main_as_bytes(argv: list[str]) -> tuple[int, str, str]:
+    """Run main in-process with stdout and stderr as strict UTF-8 byte
+    streams, as a pipe or file would be, so text they cannot encode raises."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+        out.flush()
+        err.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.buffer.getvalue().decode("utf-8")
+
+
+def _run_checked(argv: list[str]) -> int:
+    code, out, err = _run_main_as_bytes(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert all(line.startswith("error: ") for line in err.splitlines())
+        # validate reports violations on stdout; every other failure only
+        # on stderr.
+        if argv[0] != "validate" or code != 1:
+            assert (out, err != "") == ("", True)
+    return code
+
+
+@given(st.data())
+def test_cli_is_total(fixture_text, data):
+    # Generated case bases, and single-field mutations of them or of the
+    # fixture, with strings from all of Unicode: every command exits 0-3 and
+    # prints only error lines when it fails. A case base that validates
+    # answers every query and explanation.
+    bundle = data.draw(st.booleans())
+    if bundle:
+        case_base, _ = data.draw(case_bundles(valid=data.draw(st.booleans())))
+        document = json.loads(encode_case_base(case_base))
+    else:
+        document = json.loads(fixture_text)
+    if data.draw(st.booleans()):
+        # Every command echoes case ids.
+        cases = document["cases"]
+        cases[data.draw(st.integers(0, len(cases) - 1))]["id"] = data.draw(wide_text())
+    if not bundle or data.draw(st.booleans()):
+        document = data.draw(single_field_mutations(document))
+    fmt = data.draw(st.sampled_from(["machine", "table"]))
+    mode = data.draw(st.sampled_from(["enhanced", "typical"]))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "case_base.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        valid = _run_checked(["validate", "--case-base", path]) == 0
+        targets = sources = []
+        if valid:
+            targets = [c["id"] for c in document["cases"] if c["kind"] == "target"]
+            sources = [c["id"] for c in document["cases"] if c["kind"] == "source"]
+        # With one target none need be named; an id never reads as an option
+        # in the --name=value form.
+        chosen = [f"--target={targets[0]}"] if len(targets) > 1 else []
+        base = ["--case-base", path, "--format", fmt, *chosen]
+        codes = [
+            _run_checked(["query", *base, "--mode", "enhanced"]),
+            _run_checked(["query", *base, "--mode", "typical"]),
+            _run_checked(["query", *base, "--adapt"]),
+        ]
+        if sources or not valid:
+            source = sources[0] if sources else "source1"
+            codes.append(_run_checked(["explain", *base, f"--source={source}", "--mode", mode]))
+    if targets:
+        assert codes == [0] * len(codes)

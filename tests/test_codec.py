@@ -19,6 +19,7 @@ from cbrdiag import (
     NumericValue,
     OperatingMode,
     ScoringMode,
+    SymbolicValue,
     Taxonomy,
     decode_case_base,
     decode_outcome,
@@ -28,7 +29,7 @@ from cbrdiag import (
     retrieve,
 )
 from cbrdiag.cases import FLAG_VALUES
-from strategies import case_bundles
+from strategies import case_bundles, json_items, single_field_mutations
 
 
 def test_fixture_decodes(engine_case_base):
@@ -285,6 +286,18 @@ def test_decoded_descriptors_share_flag_objects(fixture_text):
     assert {id(f) for f in flags} == {id(f) for f in FLAG_VALUES.values()}
 
 
+def test_decoded_symbolic_values_are_shared_per_label(engine_case_base):
+    objects: dict[str, set[int]] = {}
+    count = 0
+    for case in engine_case_base.cases.values():
+        for d in case.descriptors.values():
+            if isinstance(d.value, SymbolicValue):
+                objects.setdefault(d.value.label, set()).add(id(d.value))
+                count += 1
+    assert count > len(objects)
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
 @given(case_bundles())
 def test_decode_inverts_encode(bundle):
     case_base, _ = bundle
@@ -395,44 +408,12 @@ def test_outcome_integer_fields_reject_fractions(engine_case_base, rows, field, 
     assert str(excinfo.value) == f"$.ranking[0].{rows}[0].{field}: expected an integer, got {value!r}"
 
 
-def _json_items(node, path=()):
-    """Every value below ``node`` with its path of keys and indexes."""
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
-        yield path + (key,), child
-        yield from _json_items(child, path + (key,))
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
-    max_leaves=4,
-)
-
-
 @given(st.data())
 def test_single_field_mutation_fails_only_as_a_document_error(fixture_text, data):
-    # One value of the fixture replaced (NaN and infinities included) or one
-    # key deleted: decoding either rejects the document with one of the two
-    # document errors or yields a case base that queries without raising.
-    document = json.loads(fixture_text)
-    items = list(_json_items(document))
-    *parents, last = data.draw(st.sampled_from([path for path, _ in items]))
-    container = document
-    for key in parents:
-        container = container[key]
-    if isinstance(container, dict) and data.draw(st.booleans()):
-        del container[last]
-    else:
-        # A scalar already in the document often has the right type, so the
-        # mutation gets past the syntax checks to the semantic ones.
-        scalars = [value for _, value in items if not isinstance(value, (dict, list))]
-        container[last] = data.draw(st.sampled_from(scalars) | _JSON_VALUES)
+    # Decoding one mutation of the fixture either rejects the document with
+    # one of the two document errors or yields a case base that queries
+    # without raising.
+    document = data.draw(single_field_mutations(json.loads(fixture_text)))
     try:
         case_base = decode_case_base(json.dumps(document))
     except (DocumentSyntaxError, DocumentValidationError):
@@ -465,7 +446,7 @@ def decode_error_lines(fixture_text: str) -> list[str]:
     outcome``: every object key deleted, then every value replaced by each
     of ``FAULT_VALUES``."""
     lines = []
-    paths = [path for path, _ in _json_items(json.loads(fixture_text))]
+    paths = [path for path, _ in json_items(json.loads(fixture_text))]
     for keys in paths:
         if isinstance(keys[-1], str):
             document = json.loads(fixture_text)

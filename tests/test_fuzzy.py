@@ -118,6 +118,13 @@ def test_profile_rejects_prototype_outside_domain():
         )
 
 
+def test_profile_rejects_a_span_that_overflows():
+    with pytest.raises(ValueError, match="^profile 'x': domain span inf is not finite$"):
+        FuzzyProfile(
+            descriptor_id="x", domain_lower=-1.7e308, domain_upper=1.7e308, prototype=0.0, half_width=2.0
+        )
+
+
 def test_profile_rejects_subset_leaving_domain():
     with pytest.raises(ValueError):
         FuzzyProfile(
