@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import gc
-import os
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -430,6 +430,8 @@ def test_single_field_mutation_fails_only_as_a_document_error(fixture_text, data
 # matches it) and an object.
 FAULT_VALUES = [None, True, 0, 1.5, float("nan"), "\ud800", "é", {}]
 
+# One line per fault, as the path-tagged checkers reported it when the file
+# was written.
 GOLDEN_DECODE_ERRORS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "decode_errors.txt")
 
 
@@ -441,7 +443,7 @@ def _decode_outcome(document: dict) -> str:
     return "ok"
 
 
-def decode_error_lines(fixture_text: str) -> list[str]:
+def _single_fault_lines(fixture_text: str) -> list[str]:
     """One line per single fault in the fixture, ``path<TAB>replacement<TAB>
     outcome``: every object key deleted, then every value replaced by each
     of ``FAULT_VALUES``."""
@@ -468,4 +470,4 @@ def test_single_fault_error_text_matches_golden(fixture_text):
     # must report the first error where and as the checkers always have.
     with open(GOLDEN_DECODE_ERRORS, encoding="utf-8") as handle:
         expected = handle.read().splitlines()
-    assert decode_error_lines(fixture_text) == expected
+    assert _single_fault_lines(fixture_text) == expected
