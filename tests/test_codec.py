@@ -191,12 +191,15 @@ def _json_path(keys: tuple) -> str:
     return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)
 
 
+def _container(document: dict, keys: tuple):
+    """The object or array that holds the value at ``keys``."""
+    for key in keys[:-1]:
+        document = document[key]
+    return document
+
+
 def _replaced(document: dict, keys: tuple, value) -> dict:
-    *parents, last = keys
-    container = document
-    for key in parents:
-        container = container[key]
-    container[last] = value
+    _container(document, keys)[keys[-1]] = value
     return document
 
 
@@ -452,11 +455,7 @@ def _single_fault_lines(fixture_text: str) -> list[str]:
     for keys in paths:
         if isinstance(keys[-1], str):
             document = json.loads(fixture_text)
-            *parents, last = keys
-            container = document
-            for key in parents:
-                container = container[key]
-            del container[last]
+            del _container(document, keys)[keys[-1]]
             lines.append(f"{_json_path(keys)}\t(deleted)\t{_decode_outcome(document)}")
     for keys in paths:
         for value in FAULT_VALUES:
