@@ -66,7 +66,8 @@ def _parse_mode(raw: str) -> ScoringMode:
 
 def _resolve_target(raw: Optional[str], case_base: CaseBase) -> Case:
     """Find the target case: a case id, a path to a separate document, or
-    the case base's own unique target when omitted."""
+    the case base's own unique target when omitted. A case id wins over a
+    file of the same name."""
     if raw is None:
         targets = case_base.targets()
         if len(targets) != 1:
@@ -75,6 +76,8 @@ def _resolve_target(raw: Optional[str], case_base: CaseBase) -> Case:
                 f"case base contains {len(targets)} target cases; pass --target",
             )
         return targets[0]
+    if raw in case_base.cases:
+        return case_base.cases[raw]
     if os.path.exists(raw):
         document = codec.decode_case_base(_read_text(raw), validate=False)
         targets = document.targets()
@@ -88,8 +91,6 @@ def _resolve_target(raw: Optional[str], case_base: CaseBase) -> Case:
         if violations:
             raise DocumentValidationError(violations)
         return target
-    if raw in case_base.cases:
-        return case_base.cases[raw]
     raise _Failure(EXIT_INVALID, f"unknown target id {raw!r}")
 
 

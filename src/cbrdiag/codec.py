@@ -40,6 +40,7 @@ FORMAT_VERSION = 1
 
 _MODE_CODES = {OperatingMode.NORMAL: "N", OperatingMode.ABNORMAL: "A"}
 _OPERATING_MODES = {None: OperatingMode.UNSPECIFIED, **{code: mode for mode, code in _MODE_CODES.items()}}
+_CASE_KINDS = {kind.value: kind for kind in CaseKind}
 
 
 def _fail(path: str, message: str) -> NoReturn:
@@ -172,8 +173,18 @@ def _decode_operating_mode(value: Any, path: str) -> OperatingMode:
     return mode
 
 
-def _decode_descriptor(value: Any, path: str, i: int, labels: dict[str, SymbolicValue]) -> Descriptor:
-    """Decode ``{path}[{i}]``, a descriptor object.
+# Cases and descriptors are decoded by position; their paths are formatted
+# only to report an error.
+def _case_path(c: int) -> str:
+    return f"$.cases[{c}]"
+
+
+def _descriptor_path(c: int, i: int) -> str:
+    return f"$.cases[{c}].descriptors[{i}]"
+
+
+def _decode_descriptor(value: Any, c: int, i: int, labels: dict[str, SymbolicValue]) -> Descriptor:
+    """Decode ``$.cases[{c}].descriptors[{i}]``, a descriptor object.
 
     Each field is checked inline, in the order id, name, value, state,
     operating_mode, imprecise, uncertain. Only an irregular field goes to the
@@ -182,20 +193,20 @@ def _decode_descriptor(value: Any, path: str, i: int, labels: dict[str, Symbolic
     strings are built only for errors. Symbolic values are taken from
     ``labels``, one per label in a decode.
     """
-    obj = value if type(value) is dict else _as_dict(value, f"{path}[{i}]")
+    obj = value if type(value) is dict else _as_dict(value, _descriptor_path(c, i))
     did = obj.get("id")
     if type(did) is not str or not did.isascii():
-        did = _str(_get(obj, "id", f"{path}[{i}]"), f"{path}[{i}].id")
+        did = _str(_get(obj, "id", _descriptor_path(c, i)), f"{_descriptor_path(c, i)}.id")
     name = obj.get("name")
     if type(name) is not str or not name.isascii():
-        name = _str(_get(obj, "name", f"{path}[{i}]"), f"{path}[{i}].name")
+        name = _str(_get(obj, "name", _descriptor_path(c, i)), f"{_descriptor_path(c, i)}.name")
     raw = obj.get("value")
     if type(raw) is not dict:
-        raw = _as_dict(_get(obj, "value", f"{path}[{i}]"), f"{path}[{i}].value")
+        raw = _as_dict(_get(obj, "value", _descriptor_path(c, i)), f"{_descriptor_path(c, i)}.value")
     if "symbolic" in raw:
         label = raw["symbolic"]
         if type(label) is not str or not label.isascii():
-            label = _str(label, f"{path}[{i}].value.symbolic")
+            label = _str(label, f"{_descriptor_path(c, i)}.value.symbolic")
         symbolic = labels.get(label)
         if symbolic is None:
             symbolic = labels[label] = SymbolicValue(label)
@@ -203,49 +214,65 @@ def _decode_descriptor(value: Any, path: str, i: int, labels: dict[str, Symbolic
     elif "numeric" in raw:
         magnitude = raw["numeric"]
         if type(magnitude) is not float or not math.isfinite(magnitude):
-            magnitude = _num(magnitude, f"{path}[{i}].value.numeric")
+            magnitude = _num(magnitude, f"{_descriptor_path(c, i)}.value.numeric")
         unit = raw.get("unit")
         if type(unit) is not str or not unit.isascii():
-            unit = _str(_get(raw, "unit", f"{path}[{i}].value"), f"{path}[{i}].value.unit")
+            path = f"{_descriptor_path(c, i)}.value"
+            unit = _str(_get(raw, "unit", path), f"{path}.unit")
         decoded = NumericValue(magnitude, unit)
     else:
-        _fail(f"{path}[{i}].value", "expected a \"symbolic\" or \"numeric\" value")
+        _fail(f"{_descriptor_path(c, i)}.value", "expected a \"symbolic\" or \"numeric\" value")
     state = obj.get("state")
     if state is not None and (type(state) is not str or not state.isascii()):
-        state = _str(state, f"{path}[{i}].state")
+        state = _str(state, f"{_descriptor_path(c, i)}.state")
     code = obj.get("operating_mode")
     try:
         mode = _OPERATING_MODES[code]
     except (KeyError, TypeError):
-        mode = _decode_operating_mode(code, f"{path}[{i}].operating_mode")
+        mode = _decode_operating_mode(code, f"{_descriptor_path(c, i)}.operating_mode")
     imprecise = obj.get("imprecise", False)
     if type(imprecise) is not bool:
-        imprecise = _bool(imprecise, f"{path}[{i}].imprecise")
+        imprecise = _bool(imprecise, f"{_descriptor_path(c, i)}.imprecise")
     uncertain = obj.get("uncertain", False)
     if type(uncertain) is not bool:
-        uncertain = _bool(uncertain, f"{path}[{i}].uncertain")
+        uncertain = _bool(uncertain, f"{_descriptor_path(c, i)}.uncertain")
     return Descriptor(did, name, decoded, state, mode, FLAG_VALUES[imprecise, uncertain])
 
 
-def _decode_case(value: Any, path: str, violations: list[str], labels: dict[str, SymbolicValue]) -> Case:
-    obj = _as_dict(value, path)
-    case_id = _str(_get(obj, "id", path), f"{path}.id")
-    kind_code = _str(_get(obj, "kind", path), f"{path}.kind")
+def _decode_case(value: Any, c: int, violations: list[str], labels: dict[str, SymbolicValue]) -> Case:
+    """Decode ``$.cases[{c}]``, a case object, checking its fields inline in
+    the order id, kind, descriptors, solution, as ``_decode_descriptor``
+    does."""
+    obj = value if type(value) is dict else _as_dict(value, _case_path(c))
+    case_id = obj.get("id")
+    if type(case_id) is not str or not case_id.isascii():
+        case_id = _str(_get(obj, "id", _case_path(c)), f"{_case_path(c)}.id")
+    code = obj.get("kind")
     try:
-        kind = CaseKind(kind_code)
-    except ValueError:
-        _fail(f"{path}.kind", f"expected \"source\" or \"target\", got {kind_code!r}")
+        kind = _CASE_KINDS[code]
+    except (KeyError, TypeError):
+        code = _str(_get(obj, "kind", _case_path(c)), f"{_case_path(c)}.kind")
+        _fail(f"{_case_path(c)}.kind", f"expected \"source\" or \"target\", got {code!r}")
+    records = obj.get("descriptors")
+    if type(records) is not list:
+        records = _as_list(_get(obj, "descriptors", _case_path(c)), f"{_case_path(c)}.descriptors")
     descriptors: dict[str, Descriptor] = {}
-    list_path = f"{path}.descriptors"
-    for i, rec in enumerate(_as_list(_get(obj, "descriptors", path), list_path)):
-        d = _decode_descriptor(rec, list_path, i, labels)
+    for i, rec in enumerate(records):
+        d = _decode_descriptor(rec, c, i, labels)
         if d.id in descriptors:
-            violations.append(f"{list_path}[{i}].id: duplicate descriptor id {d.id!r}")
+            violations.append(f"{_descriptor_path(c, i)}.id: duplicate descriptor id {d.id!r}")
             continue
         descriptors[d.id] = d
-    raw_solution = obj.get("solution")
-    solution = None if raw_solution is None else _decode_row(Solution, raw_solution, f"{path}.solution")
-    return Case(id=case_id, kind=kind, descriptors=descriptors, solution=solution)
+    solution = obj.get("solution")
+    if solution is not None:
+        component = action = None
+        if type(solution) is dict:
+            component, action = solution.get("failing_component"), solution.get("action")
+        if type(component) is str and type(action) is str and component.isascii() and action.isascii():
+            solution = Solution(component, action)
+        else:
+            solution = _decode_row(Solution, solution, f"{_case_path(c)}.solution")
+    return Case(case_id, kind, descriptors, solution)
 
 
 @_collector_paused()
@@ -303,23 +330,25 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
             violations.append(f"{path}: {exc}")
 
     cases: dict[str, Case] = {}
-    case_paths: dict[str, str] = {}
+    positions: dict[str, int] = {}
     labels: dict[str, SymbolicValue] = {}
-    for i, rec in enumerate(_as_list(_get(doc, "cases", "$"), "$.cases")):
-        path = f"$.cases[{i}]"
-        case = _decode_case(rec, path, violations, labels)
+    records = _as_list(_get(doc, "cases", "$"), "$.cases")
+    for c in range(len(records)):
+        case = _decode_case(records[c], c, violations, labels)
+        # Free this case's parsed JSON while the next one decodes.
+        records[c] = None
         if case.id in cases:
-            violations.append(f"{path}.id: duplicate case id {case.id!r}")
+            violations.append(f"{_case_path(c)}.id: duplicate case id {case.id!r}")
             continue
         cases[case.id] = case
-        case_paths[case.id] = path
+        positions[case.id] = c
 
     if taxonomy is None:
         raise DocumentValidationError(violations)
     if validate:
         for cid in sorted(cases):
             for message in validate_case(cases[cid], taxonomy, profiles):
-                violations.append(f"{case_paths[cid]}: {message}")
+                violations.append(f"{_case_path(positions[cid])}: {message}")
     if violations:
         raise DocumentValidationError(violations)
     return CaseBase(taxonomy=taxonomy, profiles=profiles, cases=cases)

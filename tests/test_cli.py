@@ -252,6 +252,20 @@ def test_query_target_as_document_matches_target_as_id(capsys, tmp_path, fixture
     assert by_id == by_path
 
 
+def test_target_id_wins_over_a_path(capsys, tmp_path, fixture_text):
+    # "." names a directory wherever the command runs; as a case id of the
+    # loaded base it must still select that case.
+    def edit(doc):
+        target = next(c for c in doc["cases"] if c["kind"] == "target")
+        doc["cases"].append({**target, "id": "."})
+
+    path = _write_fixture_variant(tmp_path, fixture_text, edit)
+    assert run_cli(capsys, "validate", "--case-base", path) == (0, "OK\n", "")
+    code, by_dot, err = run_cli(capsys, "query", "--case-base", path, "--target", ".", "--adapt")
+    assert (code, err) == (0, "")
+    assert by_dot == run_cli(capsys, "query", "--case-base", path, "--target", "target", "--adapt")[1]
+
+
 # The outcome of a case base whose only case is the target: nothing ranked,
 # nothing selected, the correction log kept.
 EMPTY_RANKING_OUTCOME = """\
@@ -517,9 +531,8 @@ def test_cli_is_total(fixture_text, data):
         if valid:
             targets = [c["id"] for c in document["cases"] if c["kind"] == "target"]
             sources = [c["id"] for c in document["cases"] if c["kind"] == "source"]
-        # With one target none need be named (--target tries its value as a
-        # file path first); an id never reads as an option in --name=value.
-        chosen = [f"--target={targets[0]}"] if len(targets) > 1 else []
+        # An id never reads as an option in --name=value.
+        chosen = [f"--target={targets[0]}"] if targets else []
         base = ["--case-base", path, "--format", fmt, *chosen]
         codes = [
             _run_checked(["query", *base, "--mode", "enhanced"]),

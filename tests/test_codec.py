@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -299,6 +300,29 @@ def test_decoded_symbolic_values_are_shared_per_label(engine_case_base):
                 count += 1
     assert count > len(objects)
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+def _traced_peak(call, *args) -> int:
+    """The most memory ``call(*args)`` held at once, in traced bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_peak_stays_near_the_parse_tree(fixture_text):
+    # Each case's parsed JSON is freed once its case is built, so a decode
+    # never holds the whole parse tree and the whole decoded base at once.
+    document = json.loads(fixture_text)
+    cases = document["cases"]
+    document["cases"] = [c for c in cases if c["kind"] == "target"] + [
+        {**c, "id": f"{c['id']}.{n}"} for n in range(70) for c in cases if c["kind"] == "source"
+    ]
+    assert len(document["cases"]) == 211
+    text = json.dumps(document)
+    assert _traced_peak(decode_case_base, text) <= 1.15 * _traced_peak(json.loads, text)
 
 
 @given(case_bundles())
