@@ -145,13 +145,16 @@ class CaseBase:
     ever scores against the sources.
 
     A case base compiles its sources into scoring records on its first query,
-    together with an index from each descriptor id to the sources that
-    record it, and keeps both: a query scores only the sources that share a
-    descriptor with its target, since any other scores 0. Neither the case
-    base nor the mappings it holds may be mutated afterwards; build a new
-    one instead (``dataclasses.replace`` starts with nothing compiled).
-    Concurrent first queries may both compile, which is harmless: either
-    result serves.
+    together with posting lists keyed by descriptor id, casefolded state and
+    operating mode, and per source a bitmask of its descriptor ids (one of
+    all of them, one of its certain ones), and keeps them all. A query adds
+    up its scores from the posting lists that match its target's
+    descriptors, since a pair whose state or mode disagrees adds 0; a base
+    or target holding a value that validation would reject is scored source
+    by source instead. Neither the case base nor the mappings it holds may
+    be mutated afterwards; build a new one instead (``dataclasses.replace``
+    starts with nothing compiled). Concurrent first queries may both
+    compile, which is harmless: either result serves.
     """
 
     taxonomy: "Taxonomy"

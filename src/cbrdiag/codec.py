@@ -76,6 +76,7 @@ def _str(value: Any, path: str) -> str:
             _fail(path, f"expected a string UTF-8 can encode, got {value!r}")
     return value
 
+
 def _opt_str(value: Any, path: str) -> Optional[str]:
     if value is None:
         return None

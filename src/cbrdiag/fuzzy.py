@@ -27,6 +27,8 @@ class FuzzySubset:
     upper: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"subset {self.label!r}: bounds {self.lower!r}, {self.upper!r} must be numbers")
         if self.lower > self.upper:
             raise ValueError(f"subset {self.label!r}: lower {self.lower!r} > upper {self.upper!r}")
 
@@ -36,8 +38,9 @@ class FuzzyProfile:
     """Fuzzy description of one numeric descriptor's value domain.
 
     The domain's span must be a finite float. Subsets must be pairwise
-    disjoint (shared endpoints count as overlap) and lie inside the domain. Any iterable of subsets is accepted; they are kept
-    as a tuple sorted by lower bound.
+    disjoint (shared endpoints count as overlap) and lie inside the domain.
+    Any iterable of subsets is accepted; they are kept as a tuple sorted by
+    lower bound.
     """
 
     descriptor_id: str
@@ -78,7 +81,8 @@ class FuzzyProfile:
         object.__setattr__(self, "subsets", ordered)
 
     def check_domain(self, x: float) -> None:
-        if x < self.domain_lower or x > self.domain_upper:
+        # Written so that NaN, which no comparison admits, fails it too.
+        if not self.domain_lower <= x <= self.domain_upper:
             raise FuzzyDomainError(self.descriptor_id, x, self.domain_lower, self.domain_upper)
 
 

@@ -14,13 +14,19 @@ descriptors whose value is uncertain on either side from both sums.
 Scoring runs over per-descriptor records rather than descriptors: the kind,
 label or magnitude, unit, casefolded state, operating mode, uncertain flag,
 and the fuzzy subset of a profiled in-domain numeric. A case base compiles
-its sources into records once, with an inverted index from descriptor id to
-the sources that record it; a target is compiled per query. One kernel
-scores a target against a source from their records, either for the score
-alone or recording the per-descriptor breakdown, which is what
-:func:`retrieval_measure` returns. Ranking runs the kernel only on the
-sources the index names for the target's descriptors: a source that shares
-none has nothing co-present and scores 0 without being scored.
+its sources into records once; a target is compiled per query. One kernel
+scores a target against a source from their records and records the
+per-descriptor breakdown, which is what :func:`retrieval_measure` returns.
+
+Ranking scores term-at-a-time instead. A pair's product is nonzero only
+when the casefolded states and the operating modes agree, so the compiled
+base keeps posting lists keyed by (descriptor id, state, mode), and each
+target descriptor adds its pairs' values to per-source numerators from the
+one list that matches it. The denominator counts co-present descriptors,
+certain ones in enhanced mode, as the bits two descriptor-id masks share.
+A base or target holding a record the kernel cannot score on its own (only
+an unvalidated one does) is scored source by source with the kernel, so it
+raises where and what the kernel raises.
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ def _record(d: Descriptor, taxonomy: Taxonomy, profile: Optional[FuzzyProfile]) 
     value = d.value
     # Interned so that the many equal states of a case base share one string.
     state = None if d.state is None else sys.intern(d.state.casefold())
-    om = d.operating_mode.value
+    om = d.operating_mode._value_  # .value without the cost of its descriptor call
     uncertain = d.flags.uncertain
     if isinstance(value, SymbolicValue) and taxonomy.contains(value.label):
         return (_SYMBOLIC, value.label, None, state, om, uncertain, None)
@@ -169,6 +175,27 @@ def _target_records(target: Case, ctx: ScoringContext) -> list[tuple]:
     return records
 
 
+def _pair_value(t: tuple, s: tuple, enhanced: bool, taxonomy: Taxonomy) -> float:
+    """The value factor of a target record (as :func:`_target_records` gives
+    it) and a source record, neither of them ``_OTHER``."""
+    _, t_kind, t_key, t_unit, _, _, _, t_subset, t_aux = t
+    s_kind, s_key, s_unit, _, _, _, s_subset = s
+    if t_kind is not s_kind:
+        return 0.0
+    if t_kind is _SYMBOLIC:
+        value = t_aux.get(s_key)
+        if value is None:
+            value = t_aux[s_key] = taxonomy.value_similarity(t_key, s_key)
+        return value
+    if t_unit != s_unit:
+        return 0.0
+    if t_key == s_key:
+        return 1.0
+    if enhanced:
+        return 1.0 if t_subset is not None and t_subset == s_subset else 0.0
+    return _linear_closeness(t_key, s_key, t_aux)
+
+
 def _score(
     target: Case,
     target_records: list[tuple],
@@ -180,9 +207,7 @@ def _score(
     """The retrieval kernel: the score of one source, appending one
     breakdown row per co-present descriptor to ``rows`` when given.
 
-    Sums run over co-present descriptors in id order. Without ``rows`` the
-    value factor of a pair whose state or mode disagrees is not evaluated
-    unless it could raise: its product is 0 whatever the value.
+    Sums run over co-present descriptors in id order.
     """
     enhanced = ctx.mode is ScoringMode.ENHANCED
     numerator = 0.0
@@ -191,8 +216,8 @@ def _score(
         s = source_records.get(t[0])
         if s is None:
             continue
-        did, t_kind, t_key, t_unit, t_state, t_om, t_uncertain, t_subset, t_aux = t
-        s_kind, s_key, s_unit, s_state, s_om, s_uncertain, s_subset = s
+        did, t_kind, _, _, t_state, t_om, t_uncertain, _, _ = t
+        s_kind, _, _, s_state, s_om, s_uncertain, _ = s
         # In enhanced mode an uncertain value on either side disqualifies the pair.
         presence = 0 if enhanced and (t_uncertain or s_uncertain) else 1
         # States agree when both are absent or equal ignoring case.
@@ -206,20 +231,8 @@ def _score(
                 descriptor_id=did, target=target.descriptors[did], source=source.descriptors[did]
             )
             value = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
-        elif t_kind is not s_kind or (rows is None and not (state and om)):
-            value = 0.0  # kinds differ, or the product is 0 whatever the value
-        elif t_kind is _SYMBOLIC:
-            value = t_aux.get(s_key)
-            if value is None:
-                value = t_aux[s_key] = ctx.taxonomy.value_similarity(t_key, s_key)
-        elif t_unit != s_unit:
-            value = 0.0
-        elif t_key == s_key:
-            value = 1.0
-        elif enhanced:
-            value = 1.0 if t_subset is not None and t_subset == s_subset else 0.0
         else:
-            value = _linear_closeness(t_key, s_key, t_aux)
+            value = _pair_value(t, s, enhanced, ctx.taxonomy)
         product = value * state * presence * om
         if rows is not None:
             rows.append(
@@ -251,25 +264,53 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     return RetrievalResult(score=score, breakdown=rows)
 
 
-def _compiled_sources(
-    case_base: CaseBase,
-) -> tuple[tuple[tuple[Case, dict[str, tuple]], ...], dict[str, tuple[int, ...]]]:
-    """The case base's sources in id order, each with its records, and the
-    inverted index from descriptor id to the increasing positions of the
-    sources that record it; compiled on the first call, with the cyclic
-    garbage collector paused, and cached on the case base."""
+def _compiled_sources(case_base: CaseBase) -> tuple:
+    """The case base's sources compiled for ranking: compiled on the first
+    call, with the cyclic garbage collector paused, and cached on the case
+    base. A tuple of
+
+    - the sources in id order, each with its records by descriptor id;
+    - the posting lists: for each (descriptor id, casefolded state,
+      operating-mode code), the increasing positions of the sources whose
+      record for that id carries that state and mode;
+    - one bit per descriptor id;
+    - per scoring mode, one mask per source of the ids that count toward its
+      denominator: its certain ids in enhanced mode, all of them in typical;
+    - whether any source record is ``_OTHER``.
+    """
     compiled = case_base._compiled
     if compiled is None:
-        ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
+        taxonomy, profiles = case_base.taxonomy, case_base.profiles
         sources = []
-        postings: defaultdict[str, list[int]] = defaultdict(list)
+        postings: defaultdict[tuple, list[int]] = defaultdict(list)
+        bits: dict[str, int] = {}
+        certain_masks = []
+        present_masks = []
+        kinds = set()
         with _collector_paused():
             for position, source in enumerate(case_base.sources()):
-                records = _source_records(source, ctx)
+                records = {}
+                certain = present = 0
+                for did, d in source.descriptors.items():
+                    record = records[did] = _record(d, taxonomy, profiles.get(did))
+                    bit = bits.get(did)
+                    if bit is None:
+                        bit = bits[did] = 1 << len(bits)
+                    present |= bit
+                    if not record[5]:
+                        certain |= bit
+                    postings[did, record[3], record[4]].append(position)
+                    kinds.add(record[0])
                 sources.append((source, records))
-                for did in records:
-                    postings[did].append(position)
-            compiled = (tuple(sources), {did: tuple(p) for did, p in postings.items()})
+                certain_masks.append(certain)
+                present_masks.append(present)
+            compiled = (
+                tuple(sources),
+                {key: tuple(p) for key, p in postings.items()},
+                bits,
+                {ScoringMode.ENHANCED: certain_masks, ScoringMode.TYPICAL: present_masks},
+                _OTHER in kinds,
+            )
         object.__setattr__(case_base, "_compiled", compiled)
     return compiled
 
@@ -280,30 +321,39 @@ def rank_sources(
     """The ``top_k`` best sources by retrieval score, ties broken by case id,
     each with the same result :func:`retrieval_measure` gives.
 
-    Only sources that record one of the target's descriptors are scored:
-    any other has nothing co-present and scores 0. Sources scoring 0 fill
-    the places left after the positive scores, in id order. Only the
-    returned sources get a breakdown.
+    Scores accumulate term-at-a-time: each of the target's descriptors, in id
+    order and leaving out uncertain ones in enhanced mode, adds its value to
+    the numerators of the sources in the posting list of its id, state and
+    mode. These are the additions the kernel makes, in its order, less those
+    of products that are 0. Each numerator is divided by the number of bits
+    the target's mask and the source's share. When the base or the target
+    holds an ``_OTHER`` record, the kernel scores every source in id order
+    instead, so that it raises what and where the kernel raises. Sources
+    scoring 0 fill the places left after the positive scores, in id order.
+    Only the returned sources get a breakdown.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
-    sources, index = _compiled_sources(case_base)
+    enhanced = mode is ScoringMode.ENHANCED
+    sources, postings, bits, masks, has_other = _compiled_sources(case_base)
     records = _target_records(target, ctx)
-    postings = [index[t[0]] for t in records if t[0] in index]
-    # Posting lists as long together as the case base leave few sources to
-    # skip, and their union costs more than it saves: scan every source.
-    if sum(map(len, postings)) < len(sources):
-        candidates = sorted(set().union(*postings))
-        scanned = [sources[i] for i in candidates]
+    if has_other or any(t[1] is _OTHER for t in records):
+        scores = {i: _score(target, records, *source, ctx) for i, source in enumerate(sources)}
     else:
-        candidates = range(len(sources))
-        scanned = sources
-    scores = [_score(target, records, source, source_records, ctx) for source, source_records in scanned]
+        numerators: defaultdict[int, float] = defaultdict(float)
+        target_mask = 0
+        for t in records:
+            did, _, _, _, t_state, t_om, t_uncertain, _, _ = t
+            if enhanced and t_uncertain:
+                continue
+            target_mask |= bits.get(did, 0)
+            for i in postings.get((did, t_state, t_om), ()):
+                s = sources[i][1][did]
+                if not (enhanced and s[5]):  # an uncertain source value
+                    numerators[i] += _pair_value(t, s, enhanced, case_base.taxonomy)
+        source_masks = masks[mode]
+        scores = {i: numerators[i] / (target_mask & source_masks[i]).bit_count() for i in sorted(numerators)}
     # nlargest keeps equal scores in input order, which is case-id order.
-    best = [
-        candidates[j]
-        for j in heapq.nlargest(top_k, range(len(scores)), key=scores.__getitem__)
-        if scores[j] > 0
-    ]
+    best = [i for i in heapq.nlargest(top_k, scores, key=scores.__getitem__) if scores[i] > 0]
     if len(best) < top_k:
         # Every other source scores 0: fill the places left in id order.
         positive = set(best)

@@ -71,6 +71,14 @@ def test_validate_fixture_target_clean(engine_case_base):
     assert report == []
 
 
+def test_validate_reports_a_nan_magnitude(engine_case_base):
+    target = engine_case_base.cases["target"]
+    nan = replace(target.descriptors["ds3"], value=NumericValue(float("nan"), "°C"))
+    bad = replace(target, descriptors={**target.descriptors, "ds3": nan})
+    report = validate_case(bad, engine_case_base.taxonomy, engine_case_base.profiles)
+    assert report == ["target/ds3: value nan for descriptor 'ds3' outside domain [0.0, 100.0]"]
+
+
 def test_validate_empty_case_is_vacuously_valid(engine_case_base):
     empty = Case(id="e", kind=CaseKind.TARGET, descriptors={})
     assert validate_case(empty, engine_case_base.taxonomy, engine_case_base.profiles) == []

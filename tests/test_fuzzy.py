@@ -16,6 +16,8 @@ from cbrdiag import (
 from naive_reference import naive_classify
 from strategies import fuzzy_profiles, magnitudes
 
+NAN = float("nan")
+
 
 @pytest.fixture(scope="module")
 def temperature() -> FuzzyProfile:
@@ -140,6 +142,19 @@ def test_profile_rejects_subset_leaving_domain():
 def test_subset_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         FuzzySubset(label="a", lower=3.0, upper=2.0)
+
+
+@pytest.mark.parametrize("lower, upper", [(NAN, NAN), (NAN, 2.0), (2.0, NAN)])
+def test_subset_rejects_nan_bounds(lower, upper):
+    with pytest.raises(ValueError, match="^subset 'a': bounds .* must be numbers$"):
+        FuzzySubset(label="a", lower=lower, upper=upper)
+
+
+def test_nan_is_outside_every_domain(temperature):
+    for check in (temperature.check_domain, lambda x: membership(x, temperature)):
+        with pytest.raises(FuzzyDomainError) as err:
+            check(NAN)
+        assert str(err.value) == "value nan for descriptor 'ds3' outside domain [0.0, 100.0]"
 
 
 @given(st.data(), magnitudes())

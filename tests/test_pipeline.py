@@ -381,11 +381,10 @@ def test_replaced_case_base_scores_its_own_cases(engine_case_base):
     assert retrieve(target, base, ScoringMode.TYPICAL, 3) == before
 
 
-# Sources for the inverted-index cases. The full target records "a", "n" and
-# "z": s1, s2, s6 record "a"; s4, s7 record "n"; no source records "z"; s0,
-# s3 and s5 share nothing with it. The wide target records "c" (s0, s1, s3)
-# in place of "z", so its posting lists hold as many entries as there are
-# sources.
+# Sources for the posting-list cases. The full target records "a", "n" and
+# "z": s1, s2, s6 record "a" (s2 in another state); s4, s7 record "n"; no
+# source records "z"; s0, s3 and s5 share nothing with it. The wide target
+# records "c" (s0, s1, s3) in place of "z".
 _INDEX_TAXONOMY = Taxonomy([("root", None), ("a", "root"), ("a1", "a"), ("a2", "a"), ("b", "root")])
 _INDEX_PROFILE = FuzzyProfile(
     descriptor_id="n",
@@ -487,3 +486,30 @@ def test_index_first_unscorable_sharing_source_raises():
     with pytest.raises(FuzzyDomainError) as err:
         retrieve(target, case_base, ScoringMode.ENHANCED, 3)
     assert str(err.value) == "value 150.0 for descriptor 'n' outside domain [0.0, 100.0]"
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_index_unscorable_source_in_another_posting_list_raises(mode):
+    # The unknown label sits on "a", which the target records as "On" with no
+    # operating mode: once in state "Off", once in operating mode "A". The
+    # product is 0 either way, but the label is still evaluated and raises.
+    off = _index_case("s2", CaseKind.SOURCE, _sym("a", "warp drive", state="Off"))
+    abnormal = _index_case(
+        "s2", CaseKind.SOURCE, replace(_sym("a", "warp drive"), operating_mode=OperatingMode.ABNORMAL)
+    )
+    for bad in (off, abnormal):
+        case_base, target = _index_case_base("full", bad)
+        with pytest.raises(UnknownLabelError) as err:
+            retrieve(target, case_base, mode, 3)
+        assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+
+
+def test_nan_target_magnitude_fails_the_domain_check(engine_case_base):
+    # ds3 is imprecise in the fixture target, so enhanced retrieval corrects
+    # it through its profile, which refuses NaN as it refuses 150.0.
+    target = engine_case_base.cases["target"]
+    nan = replace(target.descriptors["ds3"], value=NumericValue(float("nan"), "°C"))
+    bad = replace(target, descriptors={**target.descriptors, "ds3": nan})
+    with pytest.raises(FuzzyDomainError) as err:
+        diagnose(bad, engine_case_base)
+    assert str(err.value) == "value nan for descriptor 'ds3' outside domain [0.0, 100.0]"
