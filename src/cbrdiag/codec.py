@@ -161,7 +161,8 @@ def _parse_json(text: str) -> Any:
 
 def _check_version(doc: dict) -> None:
     version = _get(doc, "format_version", "$")
-    if version != FORMAT_VERSION:
+    # A bool is an int to Python, and true == 1.
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise DocumentSyntaxError(
             f"$.format_version: unsupported version {version!r}, expected {FORMAT_VERSION}"
         )

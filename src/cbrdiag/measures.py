@@ -14,16 +14,23 @@ descriptors whose value is uncertain on either side from both sums.
 Scoring runs over per-descriptor records rather than descriptors: the kind,
 label or magnitude, unit, casefolded state, operating mode, uncertain flag,
 and the fuzzy subset of a profiled in-domain numeric. A case base compiles
-its sources into records once; a target is compiled per query. One kernel
-scores a target against a source from their records and records the
-per-descriptor breakdown, which is what :func:`retrieval_measure` returns.
+its sources into records once; a target is compiled per query. The value
+factors of one target record against a list of source records come from one
+call, which asks the taxonomy once for a whole list of labels. One kernel
+scores a target against a source from their records, calling it with one
+record per pair, and records the per-descriptor breakdown, which is what
+:func:`retrieval_measure` returns.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
-when the casefolded states and the operating modes agree, so the compiled
-base keeps posting lists keyed by (descriptor id, state, mode), and each
-target descriptor adds its pairs' values to per-source numerators from the
-one list that matches it. The denominator counts co-present descriptors,
-certain ones in enhanced mode, as the bits two descriptor-id masks share.
+when the casefolded states and the operating modes agree, and in enhanced
+mode only when neither value is uncertain. So the compiled base keeps
+posting lists of source records keyed by (descriptor id, state, mode,
+uncertain flag), each record carrying its source's position. Each target
+descriptor takes the values of a whole list in one call and adds them to
+per-source numerators: from the one certain list that matches it in
+enhanced mode, and from the certain and the uncertain one in typical mode.
+The denominator counts co-present descriptors, certain ones in enhanced
+mode, as the bits two descriptor-id masks share.
 A base or target holding a record the kernel cannot score on its own (only
 an unvalidated one does) is scored source by source with the kernel, so it
 raises where and what the kernel raises.
@@ -38,7 +45,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, SymbolicValue, _collector_paused
 from .errors import MissingProfileError
@@ -107,17 +114,18 @@ def phi_value(
             return 1.0 if same_class(x, y, profile) else 0.0
         if profile is None:
             return 0.0
-        return _linear_closeness(x, y, profile)
+        return _linear_closeness(x, [y], profile)[0]
     return 0.0
 
 
-def _linear_closeness(x: float, y: float, profile: FuzzyProfile) -> float:
-    """Typical-mode closeness of two magnitudes: linear distance over the
-    profile's domain span."""
+def _linear_closeness(x: float, ys: list[float], profile: FuzzyProfile) -> list[float]:
+    """Typical-mode closeness of a magnitude to each of ``ys``: 1 when equal,
+    otherwise linear distance over the profile's domain span."""
     span = profile.domain_upper - profile.domain_lower
     if span <= 0:
-        return 0.0
-    return max(0.0, min(1.0, 1.0 - abs(x - y) / span))
+        return [1.0 if x == y else 0.0 for y in ys]
+    # max first: max(0.0, nan) is 0.0, while min(1.0, nan) is 1.0.
+    return [1.0 if x == y else min(1.0, max(0.0, 1.0 - abs(x - y) / span)) for y in ys]
 
 
 # Record kinds. An _OTHER record is one the kernel cannot score on its own
@@ -129,10 +137,12 @@ _NUMERIC = "numeric"
 _OTHER = "other"
 
 
-def _record(d: Descriptor, taxonomy: Taxonomy, profile: Optional[FuzzyProfile]) -> tuple:
+def _record(
+    d: Descriptor, taxonomy: Taxonomy, profile: Optional[FuzzyProfile], position: Optional[int] = None
+) -> tuple:
     """A descriptor's scoring record: (kind, label or magnitude, unit,
     casefolded state, operating-mode code, uncertain flag, fuzzy subset
-    label).
+    label, source position).
 
     Records hold only strings, numbers, booleans and None, so the garbage
     collector can stop tracking them: a compiled case base adds little to
@@ -144,7 +154,7 @@ def _record(d: Descriptor, taxonomy: Taxonomy, profile: Optional[FuzzyProfile]) 
     om = d.operating_mode._value_  # .value without the cost of its descriptor call
     uncertain = d.flags.uncertain
     if isinstance(value, SymbolicValue) and taxonomy.contains(value.label):
-        return (_SYMBOLIC, value.label, None, state, om, uncertain, None)
+        return (_SYMBOLIC, value.label, None, state, om, uncertain, None, position)
     if (
         isinstance(value, NumericValue)
         and profile is not None
@@ -153,8 +163,8 @@ def _record(d: Descriptor, taxonomy: Taxonomy, profile: Optional[FuzzyProfile]) 
     ):
         subset = classify_subset(value.magnitude, profile)
         label = None if subset is None else subset.label
-        return (_NUMERIC, value.magnitude, value.unit, state, om, uncertain, label)
-    return (_OTHER, None, None, state, om, uncertain, None)
+        return (_NUMERIC, value.magnitude, value.unit, state, om, uncertain, label, position)
+    return (_OTHER, None, None, state, om, uncertain, None, position)
 
 
 def _source_records(source: Case, ctx: ScoringContext) -> dict[str, tuple]:
@@ -165,35 +175,31 @@ def _source_records(source: Case, ctx: ScoringContext) -> dict[str, tuple]:
 
 def _target_records(target: Case, ctx: ScoringContext) -> list[tuple]:
     """The target's records in descriptor-id order, each led by its id and
-    followed by a per-query memo of label similarities (symbolic) or the
-    profile (numeric)."""
+    ending with the descriptor's profile in place of a source position."""
     records = []
     for did in sorted(target.descriptors):
         profile = ctx.profiles.get(did)
         record = _record(target.descriptors[did], ctx.taxonomy, profile)
-        records.append((did, *record, {} if record[0] is _SYMBOLIC else profile))
+        records.append((did, *record[:-1], profile))
     return records
 
 
-def _pair_value(t: tuple, s: tuple, enhanced: bool, taxonomy: Taxonomy) -> float:
-    """The value factor of a target record (as :func:`_target_records` gives
-    it) and a source record, neither of them ``_OTHER``."""
-    _, t_kind, t_key, t_unit, _, _, _, t_subset, t_aux = t
-    s_kind, s_key, s_unit, _, _, _, s_subset = s
-    if t_kind is not s_kind:
-        return 0.0
+def _pair_values(t: tuple, records: Sequence[tuple], enhanced: bool, taxonomy: Taxonomy) -> list[float]:
+    """The value factors of a target record (as :func:`_target_records` gives
+    it) and each of the source records, none of them ``_OTHER``."""
+    _, t_kind, t_key, t_unit, _, _, _, t_subset, profile = t
+    # Symbolic records carry no unit, so one test compares kinds and units.
+    kept = [s for s in records if s[0] is t_kind and s[2] == t_unit]
     if t_kind is _SYMBOLIC:
-        value = t_aux.get(s_key)
-        if value is None:
-            value = t_aux[s_key] = taxonomy.value_similarity(t_key, s_key)
-        return value
-    if t_unit != s_unit:
-        return 0.0
-    if t_key == s_key:
-        return 1.0
-    if enhanced:
-        return 1.0 if t_subset is not None and t_subset == s_subset else 0.0
-    return _linear_closeness(t_key, s_key, t_aux)
+        values = taxonomy.value_similarities(t_key, [s[1] for s in kept])
+    elif enhanced:
+        values = [1.0 if s[1] == t_key or t_subset is not None and s[6] == t_subset else 0.0 for s in kept]
+    else:
+        values = _linear_closeness(t_key, [s[1] for s in kept], profile)
+    if len(kept) < len(records):  # the others differ in kind or unit and score 0
+        kept_values = iter(values)
+        values = [next(kept_values) if s[0] is t_kind and s[2] == t_unit else 0.0 for s in records]
+    return values
 
 
 def _score(
@@ -217,7 +223,7 @@ def _score(
         if s is None:
             continue
         did, t_kind, _, _, t_state, t_om, t_uncertain, _, _ = t
-        s_kind, _, _, s_state, s_om, s_uncertain, _ = s
+        s_kind, _, _, s_state, s_om, s_uncertain, _, _ = s
         # In enhanced mode an uncertain value on either side disqualifies the pair.
         presence = 0 if enhanced and (t_uncertain or s_uncertain) else 1
         # States agree when both are absent or equal ignoring case.
@@ -232,7 +238,7 @@ def _score(
             )
             value = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
         else:
-            value = _pair_value(t, s, enhanced, ctx.taxonomy)
+            value = _pair_values(t, (s,), enhanced, ctx.taxonomy)[0]
         product = value * state * presence * om
         if rows is not None:
             rows.append(
@@ -271,8 +277,9 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
 
     - the sources in id order, each with its records by descriptor id;
     - the posting lists: for each (descriptor id, casefolded state,
-      operating-mode code), the increasing positions of the sources whose
-      record for that id carries that state and mode;
+      operating-mode code, uncertain flag), the records of the sources that
+      record that id with that state, mode and flag, in source order; each
+      record ends with its source's position;
     - one bit per descriptor id;
     - per scoring mode, one mask per source of the ids that count toward its
       denominator: its certain ids in enhanced mode, all of them in typical;
@@ -282,7 +289,7 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
     if compiled is None:
         taxonomy, profiles = case_base.taxonomy, case_base.profiles
         sources = []
-        postings: defaultdict[tuple, list[int]] = defaultdict(list)
+        postings: defaultdict[tuple, list[tuple]] = defaultdict(list)
         bits: dict[str, int] = {}
         certain_masks = []
         present_masks = []
@@ -292,21 +299,21 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
                 records = {}
                 certain = present = 0
                 for did, d in source.descriptors.items():
-                    record = records[did] = _record(d, taxonomy, profiles.get(did))
+                    record = records[did] = _record(d, taxonomy, profiles.get(did), position)
                     bit = bits.get(did)
                     if bit is None:
                         bit = bits[did] = 1 << len(bits)
                     present |= bit
                     if not record[5]:
                         certain |= bit
-                    postings[did, record[3], record[4]].append(position)
+                    postings[did, record[3], record[4], record[5]].append(record)
                     kinds.add(record[0])
                 sources.append((source, records))
                 certain_masks.append(certain)
                 present_masks.append(present)
             compiled = (
                 tuple(sources),
-                {key: tuple(p) for key, p in postings.items()},
+                dict(postings),
                 bits,
                 {ScoringMode.ENHANCED: certain_masks, ScoringMode.TYPICAL: present_masks},
                 _OTHER in kinds,
@@ -322,9 +329,13 @@ def rank_sources(
     each with the same result :func:`retrieval_measure` gives.
 
     Scores accumulate term-at-a-time: each of the target's descriptors, in id
-    order and leaving out uncertain ones in enhanced mode, adds its value to
-    the numerators of the sources in the posting list of its id, state and
-    mode. These are the additions the kernel makes, in its order, less those
+    order and leaving out uncertain ones in enhanced mode, takes the values
+    of the posting lists of its id, state and mode, one call per list, and
+    adds each to the numerator of the record's source. Enhanced mode reads
+    the list of certain source values only, typical mode also the uncertain
+    one. A source is in at most one of these lists, so it gets one addition
+    per target descriptor, in target-id order, whatever the order within a
+    list: these are the additions the kernel makes, in its order, less those
     of products that are 0. Each numerator is divided by the number of bits
     the target's mask and the source's share. When the base or the target
     holds an ``_OTHER`` record, the kernel scores every source in id order
@@ -341,15 +352,17 @@ def rank_sources(
     else:
         numerators: defaultdict[int, float] = defaultdict(float)
         target_mask = 0
+        uncertain_flags = (False,) if enhanced else (False, True)
         for t in records:
             did, _, _, _, t_state, t_om, t_uncertain, _, _ = t
             if enhanced and t_uncertain:
                 continue
             target_mask |= bits.get(did, 0)
-            for i in postings.get((did, t_state, t_om), ()):
-                s = sources[i][1][did]
-                if not (enhanced and s[5]):  # an uncertain source value
-                    numerators[i] += _pair_value(t, s, enhanced, case_base.taxonomy)
+            for uncertain in uncertain_flags:
+                posting = postings.get((did, t_state, t_om, uncertain))
+                if posting:
+                    for s, value in zip(posting, _pair_values(t, posting, enhanced, case_base.taxonomy)):
+                        numerators[s[7]] += value
         source_masks = masks[mode]
         scores = {i: numerators[i] / (target_mask & source_masks[i]).bit_count() for i in sorted(numerators)}
     # nlargest keeps equal scores in input order, which is case-id order.

@@ -94,8 +94,22 @@ class Taxonomy:
         1.0 iff the labels are identical; distinct same-depth siblings score
         strictly below 1; labels meeting only at a depth-0 root score 0.
         """
+        return self.value_similarities(a, [b])[0]
+
+    def value_similarities(self, a: str, labels: list[str]) -> list[float]:
+        """The :meth:`value_similarity` of ``a`` and each of ``labels``, in
+        order, computed once per distinct label."""
         self._require(a)
-        self._require(b)
-        if a == b:
-            return 1.0
-        return 2.0 * self._common_depth(a, b) / (len(self._path[a]) + len(self._path[b]) - 2)
+        path = self._path
+        # The labels share the root-to-node path of their lowest common ancestor.
+        ancestors = set(path[a])
+        depth_a = len(ancestors) - 1
+        similarity = {a: 1.0}
+        for b in labels:
+            if b not in similarity:
+                path_b = path.get(b)
+                if path_b is None:
+                    raise UnknownLabelError(b)
+                common = len(ancestors.intersection(path_b)) - 1
+                similarity[b] = 2.0 * common / (depth_a + len(path_b) - 1)
+        return list(map(similarity.__getitem__, labels))

@@ -428,6 +428,16 @@ def test_unsupported_version_exits_2(capsys, tmp_path, fixture_text):
     assert code == 2
 
 
+def test_bool_version_fails_validate_with_exit_2(capsys, tmp_path, fixture_text):
+    doc = json.loads(fixture_text)
+    doc["format_version"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--case-base", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: $.format_version: unsupported version True, expected 1\n"
+
+
 def test_nonpositive_top_k_exits_3(capsys, fixture_path):
     code, _, err = run_cli(
         capsys, "query", "--case-base", fixture_path, "--top-k", "0"

@@ -65,6 +65,23 @@ def test_unsupported_version(fixture_text):
         decode_case_base(json.dumps(doc))
 
 
+@pytest.mark.parametrize("decode", [decode_case_base, decode_outcome])
+@pytest.mark.parametrize("version, accepted", [(True, False), (1.0, True)])
+def test_version_is_a_number_not_a_bool(engine_case_base, fixture_text, decode, version, accepted):
+    # true == 1 in Python; 1.0 is accepted as the integer 1, as _int accepts it.
+    if decode is decode_case_base:
+        doc = json.loads(fixture_text)
+    else:
+        doc = json.loads(encode_outcome(diagnose(engine_case_base.cases["target"], engine_case_base)))
+    doc["format_version"] = version
+    if accepted:
+        decode(json.dumps(doc))
+        return
+    with pytest.raises(DocumentSyntaxError) as excinfo:
+        decode(json.dumps(doc))
+    assert str(excinfo.value) == "$.format_version: unsupported version True, expected 1"
+
+
 def test_malformed_json():
     with pytest.raises(DocumentSyntaxError, match="^document is not valid JSON: Expecting"):
         decode_case_base("{not json")

@@ -513,3 +513,63 @@ def test_nan_target_magnitude_fails_the_domain_check(engine_case_base):
     with pytest.raises(FuzzyDomainError) as err:
         diagnose(bad, engine_case_base)
     assert str(err.value) == "value nan for descriptor 'ds3' outside domain [0.0, 100.0]"
+
+
+def test_nan_target_magnitude_scores_0_in_typical_retrieve(engine_case_base):
+    # Typical mode neither corrects nor checks the target, so a library-built
+    # NaN reaches the linear closeness, which must not clamp it to 1.
+    target = engine_case_base.cases["target"]
+    nan = replace(target.descriptors["ds3"], value=NumericValue(float("nan"), "°C"))
+    bad = replace(target, descriptors={**target.descriptors, "ds3": nan})
+    ranking = retrieve(bad, engine_case_base, ScoringMode.TYPICAL, 3)
+    rows = [row for sc in ranking for row in sc.breakdown_r if row.descriptor_id == "ds3"]
+    assert len(rows) == 2  # source2 and source3; source1 does not record ds3
+    assert all(row.phi_value == 0.0 and row.product == 0.0 for row in rows)
+
+
+# Posting-list layouts. The target records "a" (symbolic) and "m" (symbolic,
+# uncertain) in state "On", and "n" (numeric in "u") with no state. Each
+# layout puts source records under the keys the target reads: certain and
+# uncertain ones under one (id, state, mode), records of the other kind, and
+# numerics in another unit.
+_LAYOUT_TARGET = (_sym("a", "a1"), _sym("m", "b", uncertain=True), _numeric("n", 20.0, "u"))
+_LAYOUTS = {
+    "certain-and-uncertain": [
+        (_sym("a", "a2"), _sym("m", "b")),
+        (_sym("a", "a1", uncertain=True), _numeric("n", 25.0, "u")),
+        (_sym("a", "a1"), _sym("m", "a", uncertain=True)),
+        (_sym("a", "b", uncertain=True),),
+        (_sym("a", "a", uncertain=True), replace(_numeric("n", 20.0, "u"), flags=ImperfectionFlags(uncertain=True))),
+    ],
+    "other-kind": [
+        (replace(_numeric("a", 40.0, "u"), state="On"),),
+        (_sym("a", "a2"), replace(_sym("n", "a1"), state=None)),
+        (_numeric("n", 25.0, "u"), replace(_numeric("a", 5.0, "u"), state="On")),
+        (replace(_sym("n", "b"), state=None),),
+    ],
+    "other-unit": [
+        (_numeric("n", 20.0, "v"),),
+        (_numeric("n", 25.0, "u"),),
+        (_numeric("n", 60.0, "v"), _sym("a", "a1")),
+        (_numeric("n", 90.0, "u"),),
+    ],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_posting_layouts_match_naive_reference(mode, layout):
+    sources = [_index_case(f"p{i}", CaseKind.SOURCE, *ds) for i, ds in enumerate(_LAYOUTS[layout])]
+    target = _index_case("t", CaseKind.TARGET, *_LAYOUT_TARGET)
+    profiles = {"n": _INDEX_PROFILE, "a": replace(_INDEX_PROFILE, descriptor_id="a")}
+    case_base = CaseBase(
+        taxonomy=_INDEX_TAXONOMY, profiles=profiles, cases={c.id: c for c in [*sources, target]}
+    )
+    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+    for top_k in (1, 2, len(sources) + 3):
+        engine = retrieve(target, case_base, mode, top_k)
+        reference = naive_retrieve(target, case_base, mode is ScoringMode.ENHANCED, top_k)
+        assert [(sc.case_id, sc.m_r.hex()) for sc in engine] == [(cid, m.hex()) for cid, m in reference]
+        for sc in engine:
+            assert sc.breakdown_r == retrieval_measure(target, case_base.cases[sc.case_id], ctx).breakdown
+    assert any(sc.m_r > 0 for sc in engine) and any(sc.m_r == 0 for sc in engine)

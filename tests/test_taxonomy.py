@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbrdiag import Taxonomy, UnknownLabelError
+from naive_reference import naive_value_similarity
 from strategies import taxonomies
 
 
@@ -51,6 +52,25 @@ def test_unknown_label(engine_tree):
         engine_tree.value_similarity("Monolith", "warp drive")
     with pytest.raises(UnknownLabelError):
         engine_tree.lowest_common_ancestor("warp drive", "Monolith")
+
+
+def test_unknown_label_in_either_place(engine_tree):
+    with pytest.raises(UnknownLabelError):
+        engine_tree.value_similarity("warp drive", "Monolith")
+    with pytest.raises(UnknownLabelError):
+        engine_tree.value_similarities("Monolith", ["Comp.", "warp drive"])
+
+
+@given(st.data())
+def test_batched_similarity_matches_pairwise(data):
+    taxonomy = data.draw(taxonomies())
+    nodes = taxonomy.nodes()
+    a = data.draw(st.sampled_from(nodes))
+    # Repeats, the label itself and the root all occur within one list.
+    labels = data.draw(st.lists(st.one_of(st.sampled_from(nodes), st.just(a), st.just(taxonomy.root))))
+    batched = taxonomy.value_similarities(a, labels)
+    assert [x.hex() for x in batched] == [taxonomy.value_similarity(a, b).hex() for b in labels]
+    assert [x.hex() for x in batched] == [naive_value_similarity(taxonomy, a, b).hex() for b in labels]
 
 
 def test_depths(engine_tree):
