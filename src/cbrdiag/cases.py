@@ -3,8 +3,8 @@
 A case is an identified bundle of descriptors; each descriptor carries a
 symbolic or numeric value, an optional state label, an operating mode, and
 two independent imperfection flags (imprecise, uncertain). Incompleteness is
-never a flag: a missing descriptor is simply absent from the case, and all
-scoring is gated on co-presence via :func:`align`.
+never a flag: a missing descriptor is simply absent from the case, and every
+measure scores only the descriptors that both cases record.
 
 All types are immutable values after construction and safe to share across
 concurrent scorers.

@@ -16,10 +16,13 @@ label or magnitude, unit, casefolded state, operating mode, uncertain flag,
 and the fuzzy subset of a profiled in-domain numeric. A case base compiles
 its sources into records once; a target is compiled per query. The value
 factors of one target record against a list of source records come from one
-call, which asks the taxonomy once for a whole list of labels. One kernel
-scores a target against a source from their records, calling it with one
-record per pair, and records the per-descriptor breakdown, which is what
-:func:`retrieval_measure` returns.
+call, which asks the taxonomy once for a whole list of labels. One dispatch
+gives the value of a single pair: that call with one record, or
+:func:`phi_value` on the real descriptors when either record is one the call
+cannot score. Two kernels take every pair value from it: the retrieval kernel
+here, which scores a source and records the per-descriptor breakdown that
+:func:`retrieval_measure` returns, and the adaptation kernel in
+:mod:`cbrdiag.adaptation`.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
@@ -31,9 +34,9 @@ per-source numerators: from the one certain list that matches it in
 enhanced mode, and from the certain and the uncertain one in typical mode.
 The denominator counts co-present descriptors, certain ones in enhanced
 mode, as the bits two descriptor-id masks share.
-A base or target holding a record the kernel cannot score on its own (only
-an unvalidated one does) is scored source by source with the kernel, so it
-raises where and what the kernel raises.
+A base or target holding a record the call cannot score (only an
+unvalidated one does) is scored source by source with the retrieval kernel,
+so it raises where and what the kernel raises.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _linear_closeness(x: float, ys: list[float], profile: FuzzyProfile) -> list[
     return [1.0 if x == y else min(1.0, max(0.0, 1.0 - abs(x - y) / span)) for y in ys]
 
 
-# Record kinds. An _OTHER record is one the kernel cannot score on its own
+# Record kinds. An _OTHER record is one the kernels cannot score on their own
 # (an unknown label, a numeric without a profile, outside its domain or not
 # finite, or an unknown value type): its pairs go through phi_value on the
 # real descriptors, so they return or raise exactly what phi_value does.
@@ -167,9 +170,13 @@ def _record(
     return (_OTHER, None, None, state, om, uncertain, None, position)
 
 
-def _source_records(source: Case, ctx: ScoringContext) -> dict[str, tuple]:
+def _source_records(source: Case, target: Case, ctx: ScoringContext) -> dict[str, tuple]:
+    """The source's records of the descriptors the target records too, the
+    only ones a kernel reads."""
     return {
-        did: _record(d, ctx.taxonomy, ctx.profiles.get(did)) for did, d in source.descriptors.items()
+        did: _record(d, ctx.taxonomy, ctx.profiles.get(did))
+        for did, d in source.descriptors.items()
+        if did in target.descriptors
     }
 
 
@@ -202,6 +209,25 @@ def _pair_values(t: tuple, records: Sequence[tuple], enhanced: bool, taxonomy: T
     return values
 
 
+def _pair_value(
+    target: Case, t: tuple, source: Case, s: tuple, enhanced: bool, ctx: ScoringContext
+) -> float:
+    """The value factor of one co-present pair, from the target's record (as
+    :func:`_target_records` gives it) and the source's.
+
+    Every kernel takes a pair's value from here. An ``_OTHER`` record on
+    either side sends the pair to :func:`phi_value` on the real descriptors.
+    """
+    if t[1] is _OTHER or s[0] is _OTHER:
+        did = t[0]
+        pair = AlignmentPair(
+            descriptor_id=did, target=target.descriptors[did], source=source.descriptors[did]
+        )
+        mode = ScoringMode.ENHANCED if enhanced else ScoringMode.TYPICAL
+        return phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), mode)
+    return _pair_values(t, (s,), enhanced, ctx.taxonomy)[0]
+
+
 def _score(
     target: Case,
     target_records: list[tuple],
@@ -222,23 +248,15 @@ def _score(
         s = source_records.get(t[0])
         if s is None:
             continue
-        did, t_kind, _, _, t_state, t_om, t_uncertain, _, _ = t
-        s_kind, _, _, s_state, s_om, s_uncertain, _, _ = s
+        did, _, _, _, t_state, t_om, t_uncertain, _, _ = t
+        _, _, _, s_state, s_om, s_uncertain, _, _ = s
         # In enhanced mode an uncertain value on either side disqualifies the pair.
         presence = 0 if enhanced and (t_uncertain or s_uncertain) else 1
         # States agree when both are absent or equal ignoring case.
         state = 1 if t_state == s_state else 0
         # Modes must match exactly: a one-sided blank cannot certify agreement.
         om = 1 if t_om == s_om else 0
-        if not presence:
-            value = 0.0
-        elif t_kind is _OTHER or s_kind is _OTHER:
-            pair = AlignmentPair(
-                descriptor_id=did, target=target.descriptors[did], source=source.descriptors[did]
-            )
-            value = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
-        else:
-            value = _pair_values(t, (s,), enhanced, ctx.taxonomy)[0]
+        value = _pair_value(target, t, source, s, enhanced, ctx) if presence else 0.0
         product = value * state * presence * om
         if rows is not None:
             rows.append(
@@ -266,7 +284,8 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     co-present the source is incomparable and scores 0.
     """
     rows: list[LocalScores] = []
-    score = _score(target, _target_records(target, ctx), source, _source_records(source, ctx), ctx, rows)
+    source_records = _source_records(source, target, ctx)
+    score = _score(target, _target_records(target, ctx), source, source_records, ctx, rows)
     return RetrievalResult(score=score, breakdown=rows)
 
 
@@ -324,9 +343,10 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
 
 def rank_sources(
     target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int
-) -> list[tuple[str, RetrievalResult]]:
-    """The ``top_k`` best sources by retrieval score, ties broken by case id,
-    each with the same result :func:`retrieval_measure` gives.
+) -> tuple[list[tuple], list[tuple[Case, dict[str, tuple], RetrievalResult]]]:
+    """The target's records and the ``top_k`` best sources by retrieval
+    score, ties broken by case id, each with its records and the same result
+    :func:`retrieval_measure` gives.
 
     Scores accumulate term-at-a-time: each of the target's descriptors, in id
     order and leaving out uncertain ones in enhanced mode, takes the values
@@ -340,8 +360,9 @@ def rank_sources(
     the target's mask and the source's share. When the base or the target
     holds an ``_OTHER`` record, the kernel scores every source in id order
     instead, so that it raises what and where the kernel raises. Sources
-    scoring 0 fill the places left after the positive scores, in id order.
-    Only the returned sources get a breakdown.
+    scoring 0 fill the places left after the positive scores, in id order,
+    and a ``top_k`` past the number of sources returns them all. Only the
+    returned sources get a breakdown.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
@@ -365,6 +386,7 @@ def rank_sources(
                         numerators[s[7]] += value
         source_masks = masks[mode]
         scores = {i: numerators[i] / (target_mask & source_masks[i]).bit_count() for i in sorted(numerators)}
+    top_k = min(top_k, len(sources))
     # nlargest keeps equal scores in input order, which is case-id order.
     best = [i for i in heapq.nlargest(top_k, scores, key=scores.__getitem__) if scores[i] > 0]
     if len(best) < top_k:
@@ -376,5 +398,5 @@ def rank_sources(
         source, source_records = sources[i]
         rows: list[LocalScores] = []
         score = _score(target, records, source, source_records, ctx, rows)
-        ranked.append((source.id, RetrievalResult(score=score, breakdown=rows)))
-    return ranked
+        ranked.append((source, source_records, RetrievalResult(score=score, breakdown=rows)))
+    return records, ranked

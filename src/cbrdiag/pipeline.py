@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from .adaptation import AdaptationTerm, adaptation_measure
+from .adaptation import AdaptationTerm, _adapt
 from .cases import Case, CaseBase, NumericValue, Solution
 from .errors import ConfigurationError, MissingProfileError
 from .fuzzy import FuzzyProfile, correct_imprecise
@@ -75,25 +75,28 @@ def prepare_target(
 
 def _retrieve(
     target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int
-) -> tuple[Case, DiagnosisOutcome]:
-    """Retrieval as :func:`retrieve` runs it: the target as scored and the
-    outcome with its ranking and correction log but no selection."""
+) -> tuple[Case, DiagnosisOutcome, list[tuple], list[tuple]]:
+    """Retrieval as :func:`retrieve` runs it: the target as scored, the
+    outcome with its ranking and correction log but no selection, and the
+    target's records and ranked sources as :func:`rank_sources` returns them."""
     if top_k < 1:
         raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
     corrections: list[Correction] = []
     if mode is ScoringMode.ENHANCED:
         target, corrections = prepare_target(target, case_base.profiles)
+    records, ranked = rank_sources(target, case_base, mode, top_k)
     ranking = [
-        ScoredCase(case_id=case_id, m_r=result.score, breakdown_r=result.breakdown)
-        for case_id, result in rank_sources(target, case_base, mode, top_k)
+        ScoredCase(case_id=source.id, m_r=result.score, breakdown_r=result.breakdown)
+        for source, _, result in ranked
     ]
-    return target, DiagnosisOutcome(
+    outcome = DiagnosisOutcome(
         selected_case_id=None,
         solution=None,
         ranking=ranking,
         mode=mode,
         corrections_applied=corrections,
     )
+    return target, outcome, records, ranked
 
 
 def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -> list[ScoredCase]:
@@ -114,15 +117,16 @@ def diagnose(target: Case, case_base: CaseBase, top_k: int = 3) -> DiagnosisOutc
     the selected case's solution, both breakdowns for every retrieved case,
     and the correction log; with nothing retrieved, nothing is selected.
     """
-    prepared, retrieved = _retrieve(target, case_base, ScoringMode.ENHANCED, top_k)
+    prepared, retrieved, records, ranked = _retrieve(target, case_base, ScoringMode.ENHANCED, top_k)
     if not retrieved.ranking:
         return retrieved
     ctx = ScoringContext(
         taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=ScoringMode.ENHANCED
     )
     ranking: list[ScoredCase] = []
-    for sc in retrieved.ranking:
-        result = adaptation_measure(prepared, case_base.cases[sc.case_id], ctx)
+    # Adaptation reads the records the ranking compiled, in ranking order.
+    for sc, (source, source_records, _) in zip(retrieved.ranking, ranked):
+        result = _adapt(prepared, records, source, source_records, ctx)
         ranking.append(replace(sc, m_a=result.score, breakdown_a=result.breakdown))
     selected = min(ranking, key=lambda sc: (-sc.m_a, -sc.m_r, sc.case_id))
     return replace(

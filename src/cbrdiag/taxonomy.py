@@ -28,9 +28,9 @@ class Taxonomy:
         for name, par in parent.items():
             if par is not None and par not in parent:
                 raise ValueError(f"taxonomy node {name!r} has unknown parent {par!r}")
-        # Root-to-node path of every node: depths and common ancestors are
-        # read from these without walking parent pointers per comparison.
-        path: dict[str, tuple[str, ...]] = {roots[0]: (roots[0],)}
+        # The depth of every node, so that a table linear in the size of the
+        # tree, not a root path per node, serves every comparison.
+        depth: dict[str, int] = {roots[0]: 0}
         children: dict[str, list[str]] = {n: [] for n in parent}
         for name, par in parent.items():
             if par is not None:
@@ -39,13 +39,13 @@ class Taxonomy:
         while frontier:
             node = frontier.pop()
             for child in children[node]:
-                path[child] = path[node] + (child,)
+                depth[child] = depth[node] + 1
                 frontier.append(child)
-        if len(path) != len(parent):
-            orphaned = sorted(set(parent) - set(path))
+        if len(depth) != len(parent):
+            orphaned = sorted(set(parent) - set(depth))
             raise ValueError(f"taxonomy contains a cycle through {orphaned!r}")
         self._parent = parent
-        self._path = path
+        self._depth = depth
         self._root = roots[0]
 
     def __eq__(self, other: object) -> bool:
@@ -67,26 +67,32 @@ class Taxonomy:
 
     def depth(self, name: str) -> int:
         self._require(name)
-        return len(self._path[name]) - 1
+        return self._depth[name]
 
     def _require(self, name: str) -> None:
         if name not in self._parent:
             raise UnknownLabelError(name)
 
-    def _common_depth(self, a: str, b: str) -> int:
-        """Depth of the lowest common ancestor of two known labels."""
-        depth = -1
-        for x, y in zip(self._path[a], self._path[b]):
-            if x != y:
-                break
-            depth += 1
-        return depth
+    def _ancestors(self, name: Optional[str]) -> set[str]:
+        """A known label and all its ancestors."""
+        ancestors = set()
+        while name is not None:
+            ancestors.add(name)
+            name = self._parent[name]
+        return ancestors
+
+    def _lowest_in(self, ancestors: set[str], name: str) -> str:
+        """The deepest of a known label and its ancestors that is in
+        ``ancestors``, a set holding the root."""
+        while name not in ancestors:
+            name = self._parent[name]
+        return name
 
     def lowest_common_ancestor(self, a: str, b: str) -> str:
         """Deepest node that is an ancestor-or-self of both labels."""
         self._require(a)
         self._require(b)
-        return self._path[a][self._common_depth(a, b)]
+        return self._lowest_in(self._ancestors(a), b)
 
     def value_similarity(self, a: str, b: str) -> float:
         """Depth-ratio similarity of two labels, in [0, 1].
@@ -100,16 +106,16 @@ class Taxonomy:
         """The :meth:`value_similarity` of ``a`` and each of ``labels``, in
         order, computed once per distinct label."""
         self._require(a)
-        path = self._path
-        # The labels share the root-to-node path of their lowest common ancestor.
-        ancestors = set(path[a])
-        depth_a = len(ancestors) - 1
+        depth = self._depth
+        # The lowest common ancestor of a and b is the first of b's ancestors in a's.
+        ancestors = self._ancestors(a)
+        depth_a = depth[a]
         similarity = {a: 1.0}
         for b in labels:
             if b not in similarity:
-                path_b = path.get(b)
-                if path_b is None:
+                depth_b = depth.get(b)
+                if depth_b is None:
                     raise UnknownLabelError(b)
-                common = len(ancestors.intersection(path_b)) - 1
-                similarity[b] = 2.0 * common / (depth_a + len(path_b) - 1)
+                common = depth[self._lowest_in(ancestors, b)]
+                similarity[b] = 2.0 * common / (depth_a + depth_b)
         return list(map(similarity.__getitem__, labels))

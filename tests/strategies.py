@@ -23,6 +23,7 @@ any JSON value, strings drawn from all of Unicode, or one key deleted.
 from __future__ import annotations
 
 import copy
+import sys
 from typing import Any, Iterator
 
 from hypothesis import strategies as st
@@ -201,6 +202,11 @@ def clean_cases(draw) -> tuple[CaseBase, Case]:
 
 def magnitudes() -> st.SearchStrategy[float]:
     return st.integers(min_value=0, max_value=100).map(float)
+
+
+def top_ks() -> st.SearchStrategy[int]:
+    """Valid ``top_k`` values: small ones, and ones past ``sys.maxsize``."""
+    return st.one_of(st.integers(min_value=1, max_value=12), st.integers(sys.maxsize + 1, 2**80))
 
 
 def wide_text(max_size: int = 8) -> st.SearchStrategy[str]:

@@ -29,7 +29,7 @@ from cbrdiag import (
     retrieval_measure,
 )
 from cbrdiag.cli import main
-from strategies import case_bundles, single_field_mutations, wide_text
+from strategies import case_bundles, single_field_mutations, top_ks, wide_text
 
 
 def run_cli(capsys, *argv):
@@ -544,10 +544,11 @@ def test_cli_is_total(fixture_text, data):
         # An id never reads as an option in --name=value.
         chosen = [f"--target={targets[0]}"] if targets else []
         base = ["--case-base", path, "--format", fmt, *chosen]
+        top_k = ["--top-k", str(data.draw(top_ks()))]
         codes = [
-            _run_checked(["query", *base, "--mode", "enhanced"]),
-            _run_checked(["query", *base, "--mode", "typical"]),
-            _run_checked(["query", *base, "--adapt"]),
+            _run_checked(["query", *base, *top_k, "--mode", "enhanced"]),
+            _run_checked(["query", *base, *top_k, "--mode", "typical"]),
+            _run_checked(["query", *base, *top_k, "--adapt"]),
         ]
         if sources or not valid:
             source = sources[0] if sources else "source1"

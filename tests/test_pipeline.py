@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from cbrdiag import (
     Case,
@@ -27,6 +26,7 @@ from cbrdiag import (
     SymbolicValue,
     Taxonomy,
     UnknownLabelError,
+    adaptation_measure,
     decode_case_base,
     diagnose,
     encode_case_base,
@@ -36,8 +36,8 @@ from cbrdiag import (
     retrieve,
     validate_case,
 )
-from naive_reference import naive_retrieve, naive_select
-from strategies import case_bundles
+from naive_reference import naive_adaptation_score, naive_prepare, naive_retrieve, naive_select
+from strategies import case_bundles, top_ks
 
 
 def test_prepare_fixture_target(engine_case_base):
@@ -220,6 +220,15 @@ def test_diagnose_selection_matches_naive_reference(bundle):
     case_base, target = bundle
     outcome = diagnose(target, case_base, top_k=5)
     assert outcome.selected_case_id == naive_select(target, case_base, top_k=5)
+    # Every adaptation score and breakdown, not only the selection's winner.
+    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
+    prepared = prepare_target(target, case_base.profiles)[0]
+    naive_prepared = naive_prepare(target, case_base.profiles)
+    for sc in outcome.ranking:
+        source = case_base.cases[sc.case_id]
+        naive = naive_adaptation_score(naive_prepared, source, case_base.taxonomy, case_base.profiles)
+        assert sc.m_a.hex() == naive.hex()
+        assert sc.breakdown_a == adaptation_measure(prepared, source, ctx).breakdown
 
 
 @given(case_bundles(min_sources=1))
@@ -242,10 +251,11 @@ def test_modes_agree_without_flags_and_numerics(bundle):
     assert [(sc.case_id, sc.m_r) for sc in typical] == [(sc.case_id, sc.m_r) for sc in enhanced]
 
 
-@given(case_bundles(valid=False), st.integers(min_value=1, max_value=12))
+@given(case_bundles(valid=False), top_ks())
 def test_validated_case_base_never_raises(bundle, top_k):
     # Some numerics lack a profile or leave their domain: either validation
-    # rejects the case base, or both modes and diagnose run without raising.
+    # rejects the case base, or both modes and diagnose run without raising,
+    # whatever top_k, even one past sys.maxsize.
     case_base, target = bundle
     violations = [
         violation
@@ -272,6 +282,35 @@ def _with_source_descriptor(case_base: CaseBase, source_id: str, descriptor: Des
 
 def _numeric(did: str, magnitude: float, unit: str = "°C") -> Descriptor:
     return Descriptor(id=did, name=did, value=NumericValue(magnitude=magnitude, unit=unit))
+
+
+def test_adaptation_evaluates_an_uncertain_pair_retrieval_drops(engine_case_base):
+    # Unvalidated: the target's ds9 is uncertain and abnormal, so enhanced
+    # retrieval never evaluates source3's unknown label on it, but adaptation
+    # does, since doubt does not keep a pair out of the adaptation sums.
+    target = engine_case_base.cases["target"]
+    assert target.descriptors["ds9"].flags.uncertain
+    assert target.descriptors["ds9"].operating_mode is OperatingMode.ABNORMAL
+    ds9 = engine_case_base.cases["source3"].descriptors["ds9"]
+    unknown = replace(ds9, value=SymbolicValue("warp drive"))
+    bad = _with_source_descriptor(engine_case_base, "source3", unknown)
+    ranking = retrieve(target, bad, ScoringMode.ENHANCED, 3)
+    assert sorted(sc.case_id for sc in ranking) == ["source1", "source2", "source3"]
+    with pytest.raises(UnknownLabelError) as err:
+        diagnose(target, bad, top_k=3)
+    assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+
+
+def test_adaptation_skips_a_pair_without_operating_modes(engine_case_base):
+    # Unvalidated: source2's uncertain ds1 holds an unknown label, but neither
+    # side of ds1 records an operating mode, so no measure evaluates it.
+    target = engine_case_base.cases["target"]
+    ds1 = engine_case_base.cases["source2"].descriptors["ds1"]
+    unknown = replace(ds1, value=SymbolicValue("warp drive"), flags=ImperfectionFlags(uncertain=True))
+    assert target.descriptors["ds1"].operating_mode is OperatingMode.UNSPECIFIED
+    assert unknown.operating_mode is OperatingMode.UNSPECIFIED
+    bad = _with_source_descriptor(engine_case_base, "source2", unknown)
+    assert diagnose(target, bad, top_k=3).selected_case_id == "source3"
 
 
 def test_source_outside_domain_raises_in_enhanced_retrieve(engine_case_base):

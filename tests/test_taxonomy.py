@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,3 +150,23 @@ def test_deeper_lca_never_decreases_similarity(attach, extra, tail_a, tail_b):
     shallow, a1, b1 = _attached_tree(attach, depth_a, depth_b)
     deep, a2, b2 = _attached_tree(attach + extra, depth_a, depth_b)
     assert shallow.value_similarity(a1, b1) <= deep.value_similarity(a2, b2)
+
+
+def _chain(length: int) -> list[tuple[str, str | None]]:
+    return [("n0", None)] + [(f"n{i}", f"n{i - 1}") for i in range(1, length)]
+
+
+def _retained(nodes: list[tuple[str, str | None]]) -> int:
+    """The traced bytes a taxonomy built from ``nodes`` holds once built."""
+    tracemalloc.start()
+    try:
+        taxonomy = Taxonomy(nodes)  # alive while the traced memory is read
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_chain_retains_memory_linear_in_its_length():
+    # Parent and depth tables grow about 4 times for a chain 4 times as long;
+    # a root path per node, about n * n / 2 references, would grow 16 times.
+    assert _retained(_chain(4000)) <= 6 * _retained(_chain(1000))
