@@ -126,7 +126,7 @@ def _query_outcome(args: argparse.Namespace, case_base: CaseBase, target: Case) 
         if mode is not ScoringMode.ENHANCED:
             raise ConfigurationError("adaptation requires enhanced mode")
         return diagnose(target, case_base, top_k=args.top_k)
-    return _retrieve(target, case_base, mode, args.top_k)[1]
+    return _retrieve(target, case_base, mode, args.top_k)
 
 
 def _print_outcome_table(outcome: DiagnosisOutcome) -> None:

@@ -16,13 +16,12 @@ label or magnitude, unit, casefolded state, operating mode, uncertain flag,
 and the fuzzy subset of a profiled in-domain numeric. A case base compiles
 its sources into records once; a target is compiled per query. The value
 factors of one target record against a list of source records come from one
-call, which asks the taxonomy once for a whole list of labels. One dispatch
-gives the value of a single pair: that call with one record, or
-:func:`phi_value` on the real descriptors when either record is one the call
-cannot score. Two kernels take every pair value from it: the retrieval kernel
-here, which scores a source and records the per-descriptor breakdown that
-:func:`retrieval_measure` returns, and the adaptation kernel in
-:mod:`cbrdiag.adaptation`.
+call, which asks the taxonomy once for a whole list of labels. One kernel
+builds every breakdown row: it walks the target's records against a list of
+sources and builds, per source, the retrieval rows, the adaptation rows of
+:mod:`cbrdiag.adaptation`, or both, from one value per pair. A pair's value
+comes from that call, or from :func:`phi_value` on the real descriptors
+when either record is one the call cannot score.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
@@ -34,9 +33,10 @@ per-source numerators: from the one certain list that matches it in
 enhanced mode, and from the certain and the uncertain one in typical mode.
 The denominator counts co-present descriptors, certain ones in enhanced
 mode, as the bits two descriptor-id masks share.
-A base or target holding a record the call cannot score (only an
-unvalidated one does) is scored source by source with the retrieval kernel,
-so it raises where and what the kernel raises.
+The kernel then builds the rows of the returned sources in one call. A
+base or target holding a record the call cannot score (only an unvalidated
+one does) is scored source by source with the kernel instead, so it raises
+where and what the kernel raises.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, SymbolicValue, _collector_paused
+from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, OperatingMode, SymbolicValue
+from .cases import _collector_paused
 from .errors import MissingProfileError
 from .fuzzy import FuzzyProfile, classify_subset, same_class
 from .taxonomy import Taxonomy
@@ -86,6 +87,32 @@ class LocalScores:
 class RetrievalResult:
     score: float
     breakdown: list[LocalScores]
+
+
+@dataclass(frozen=True)
+class AdaptationTerm:
+    """Per-descriptor weighted contribution; term is the numerator share."""
+
+    descriptor_id: str
+    weight: int
+    phi_presence: int
+    phi_value: float
+    term: float
+
+
+@dataclass(frozen=True)
+class AdaptationResult:
+    score: float
+    breakdown: list[AdaptationTerm]
+
+
+_ABNORMAL = OperatingMode.ABNORMAL.value
+_UNSPECIFIED = OperatingMode.UNSPECIFIED.value
+
+
+def _weight(target_code: str, source_code: str) -> int:
+    """The adaptation weight of two operating-mode codes, doubling per abnormal side."""
+    return 2 ** ((target_code == _ABNORMAL) + (source_code == _ABNORMAL))
 
 
 def phi_value(
@@ -131,7 +158,7 @@ def _linear_closeness(x: float, ys: list[float], profile: FuzzyProfile) -> list[
     return [1.0 if x == y else min(1.0, max(0.0, 1.0 - abs(x - y) / span)) for y in ys]
 
 
-# Record kinds. An _OTHER record is one the kernels cannot score on their own
+# Record kinds. An _OTHER record is one _pair_values cannot score
 # (an unknown label, a numeric without a profile, outside its domain or not
 # finite, or an unknown value type): its pairs go through phi_value on the
 # real descriptors, so they return or raise exactly what phi_value does.
@@ -170,21 +197,12 @@ def _record(
     return (_OTHER, None, None, state, om, uncertain, None, position)
 
 
-def _source_records(source: Case, target: Case, ctx: ScoringContext) -> dict[str, tuple]:
-    """The source's records of the descriptors the target records too, the
-    only ones a kernel reads."""
-    return {
-        did: _record(d, ctx.taxonomy, ctx.profiles.get(did))
-        for did, d in source.descriptors.items()
-        if did in target.descriptors
-    }
-
-
-def _target_records(target: Case, ctx: ScoringContext) -> list[tuple]:
-    """The target's records in descriptor-id order, each led by its id and
-    ending with the descriptor's profile in place of a source position."""
+def _target_records(target: Case, ctx: ScoringContext, dids: Optional[Iterable[str]] = None) -> list[tuple]:
+    """The target's records of ``dids`` (all its descriptors by default) in
+    id order, each led by its id and ending with the descriptor's profile in
+    place of a source position."""
     records = []
-    for did in sorted(target.descriptors):
+    for did in sorted(target.descriptors if dids is None else dids):
         profile = ctx.profiles.get(did)
         record = _record(target.descriptors[did], ctx.taxonomy, profile)
         records.append((did, *record[:-1], profile))
@@ -209,69 +227,95 @@ def _pair_values(t: tuple, records: Sequence[tuple], enhanced: bool, taxonomy: T
     return values
 
 
-def _pair_value(
-    target: Case, t: tuple, source: Case, s: tuple, enhanced: bool, ctx: ScoringContext
-) -> float:
-    """The value factor of one co-present pair, from the target's record (as
-    :func:`_target_records` gives it) and the source's.
-
-    Every kernel takes a pair's value from here. An ``_OTHER`` record on
-    either side sends the pair to :func:`phi_value` on the real descriptors.
-    """
-    if t[1] is _OTHER or s[0] is _OTHER:
-        did = t[0]
-        pair = AlignmentPair(
-            descriptor_id=did, target=target.descriptors[did], source=source.descriptors[did]
-        )
-        mode = ScoringMode.ENHANCED if enhanced else ScoringMode.TYPICAL
-        return phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), mode)
-    return _pair_values(t, (s,), enhanced, ctx.taxonomy)[0]
+# The row kinds the kernel builds, as bits.
+_RETRIEVAL = 1
+_ADAPTATION = 2
 
 
-def _score(
+def _measure(
     target: Case,
     target_records: list[tuple],
-    source: Case,
-    source_records: Mapping[str, tuple],
+    sources: Sequence[tuple[Case, Mapping[str, tuple]]],
     ctx: ScoringContext,
-    rows: Optional[list[LocalScores]] = None,
-) -> float:
-    """The retrieval kernel: the score of one source, appending one
-    breakdown row per co-present descriptor to ``rows`` when given.
+    kinds: int,
+) -> list[tuple[Optional[RetrievalResult], Optional[AdaptationResult]]]:
+    """The scoring kernel: per source, its retrieval result if ``kinds``
+    holds ``_RETRIEVAL`` and its adaptation result if it holds
+    ``_ADAPTATION``, from the target's records (as :func:`_target_records`
+    gives them) and each source's records by descriptor id.
 
-    Sums run over co-present descriptors in id order.
+    It walks the target's records in id order. The pairs of one record with
+    the sources that record its id take their values from one
+    :func:`_pair_values` call, only the pairs a requested row needs and each
+    once: a retrieval row needs the value of a pair present in ``ctx.mode``,
+    an adaptation row that of a pair whose operating modes are not both
+    unspecified. Adaptation values are always enhanced, so both kinds are
+    asked for together only in enhanced mode. An ``_OTHER`` record on either
+    side sends its pair to :func:`phi_value` on the real descriptors instead.
+    Sums run over the rows in id order.
     """
-    enhanced = ctx.mode is ScoringMode.ENHANCED
-    numerator = 0.0
-    denominator = 0
+    retrieval, adaptation = bool(kinds & _RETRIEVAL), bool(kinds & _ADAPTATION)
+    enhanced = not retrieval or ctx.mode is ScoringMode.ENHANCED
+    mode = ScoringMode.ENHANCED if enhanced else ScoringMode.TYPICAL
+    retrieval_rows: list[list[LocalScores]] = [[] for _ in sources]
+    adaptation_rows: list[list[AdaptationTerm]] = [[] for _ in sources]
+    # Per source: the retrieval numerator and denominator and the adaptation numerator.
+    sums = [[0.0, 0, 0.0] for _ in sources]
     for t in target_records:
-        s = source_records.get(t[0])
-        if s is None:
+        did, t_kind, _, _, t_state, t_om, t_uncertain, _, _ = t
+        pairs, batch = [], []
+        for i, (source, records) in enumerate(sources):
+            s = records.get(did)
+            if s is not None:
+                # In enhanced mode an uncertain value on either side keeps the
+                # pair out of retrieval; doubt does not keep it out of adaptation.
+                present = retrieval and not (enhanced and (t_uncertain or s[5]))
+                adapted = adaptation and (t_om != _UNSPECIFIED or s[4] != _UNSPECIFIED)
+                pairs.append((i, source, s, present, adapted))
+                if (present or adapted) and s[0] is not _OTHER:
+                    batch.append(s)
+        if not pairs:
             continue
-        did, _, _, _, t_state, t_om, t_uncertain, _, _ = t
-        _, _, _, s_state, s_om, s_uncertain, _, _ = s
-        # In enhanced mode an uncertain value on either side disqualifies the pair.
-        presence = 0 if enhanced and (t_uncertain or s_uncertain) else 1
-        # States agree when both are absent or equal ignoring case.
-        state = 1 if t_state == s_state else 0
-        # Modes must match exactly: a one-sided blank cannot certify agreement.
-        om = 1 if t_om == s_om else 0
-        value = _pair_value(target, t, source, s, enhanced, ctx) if presence else 0.0
-        product = value * state * presence * om
-        if rows is not None:
-            rows.append(
-                LocalScores(
-                    descriptor_id=did,
-                    phi_value=value,
-                    phi_state=state,
-                    phi_presence=presence,
-                    phi_om=om,
-                    product=product,
-                )
-            )
-        numerator += product
-        denominator += presence
-    return numerator / denominator if denominator else 0.0
+        values = iter(_pair_values(t, batch, enhanced, ctx.taxonomy) if batch and t_kind is not _OTHER else ())
+        for i, source, s, present, adapted in pairs:
+            if not (present or adapted):
+                value = 0.0
+            elif t_kind is _OTHER or s[0] is _OTHER:
+                pair = AlignmentPair(did, target.descriptors[did], source.descriptors[did])
+                value = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), mode)
+            else:
+                value = next(values)
+            if retrieval:
+                presence = 1 if present else 0
+                # States agree when both are absent or equal ignoring case.
+                state = 1 if t_state == s[3] else 0
+                # Modes must match exactly: a one-sided blank cannot certify agreement.
+                om = 1 if t_om == s[4] else 0
+                phi = value if present else 0.0
+                product = phi * state * presence * om
+                retrieval_rows[i].append(LocalScores(did, phi, state, presence, om, product))
+                sums[i][0] += product
+                sums[i][1] += presence
+            if adapted:
+                weight = _weight(t_om, s[4])
+                term = weight * value
+                adaptation_rows[i].append(AdaptationTerm(did, weight, 1, value, term))
+                sums[i][2] += term
+    return [
+        (
+            RetrievalResult(numerator / denominator if denominator else 0.0, rows) if retrieval else None,
+            AdaptationResult(adapted_sum / len(terms) if terms else 0.0, terms) if adaptation else None,
+        )
+        for rows, terms, (numerator, denominator, adapted_sum) in zip(retrieval_rows, adaptation_rows, sums)
+    ]
+
+
+def _measure_one(target: Case, source: Case, ctx: ScoringContext, kinds: int) -> tuple:
+    """The kernel on one source, compiling only the descriptors both cases
+    record, the only ones it reads."""
+    shared = target.descriptors.keys() & source.descriptors.keys()
+    records = {did: _record(source.descriptors[did], ctx.taxonomy, ctx.profiles.get(did)) for did in shared}
+    return _measure(target, _target_records(target, ctx, shared), [(source, records)], ctx, kinds)[0]
 
 
 def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> RetrievalResult:
@@ -283,10 +327,7 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     equivalent to deleting the uncertain descriptors up front. With nothing
     co-present the source is incomparable and scores 0.
     """
-    rows: list[LocalScores] = []
-    source_records = _source_records(source, target, ctx)
-    score = _score(target, _target_records(target, ctx), source, source_records, ctx, rows)
-    return RetrievalResult(score=score, breakdown=rows)
+    return _measure_one(target, source, ctx, _RETRIEVAL)[0]
 
 
 def _compiled_sources(case_base: CaseBase) -> tuple:
@@ -342,11 +383,10 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
 
 
 def rank_sources(
-    target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int
-) -> tuple[list[tuple], list[tuple[Case, dict[str, tuple], RetrievalResult]]]:
-    """The target's records and the ``top_k`` best sources by retrieval
-    score, ties broken by case id, each with its records and the same result
-    :func:`retrieval_measure` gives.
+    target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int, kinds: int
+) -> list[tuple[Case, Optional[RetrievalResult], Optional[AdaptationResult]]]:
+    """The ``top_k`` best sources by retrieval score, ties broken by case id,
+    each with the results of the row ``kinds`` the kernel gives them.
 
     Scores accumulate term-at-a-time: each of the target's descriptors, in id
     order and leaving out uncertain ones in enhanced mode, takes the values
@@ -362,14 +402,18 @@ def rank_sources(
     instead, so that it raises what and where the kernel raises. Sources
     scoring 0 fill the places left after the positive scores, in id order,
     and a ``top_k`` past the number of sources returns them all. Only the
-    returned sources get a breakdown.
+    returned sources get rows, from one kernel call; or, after the kernel
+    scored every source, from one call per source in ranking order, so that
+    an error an adaptation row raises is the first ranked source's.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
     sources, postings, bits, masks, has_other = _compiled_sources(case_base)
     records = _target_records(target, ctx)
-    if has_other or any(t[1] is _OTHER for t in records):
-        scores = {i: _score(target, records, *source, ctx) for i, source in enumerate(sources)}
+    fallback = has_other or any(t[1] is _OTHER for t in records)
+    if fallback:
+        scored = (_measure(target, records, [source], ctx, _RETRIEVAL)[0][0] for source in sources)
+        scores = {i: result.score for i, result in enumerate(scored)}
     else:
         numerators: defaultdict[int, float] = defaultdict(float)
         target_mask = 0
@@ -393,10 +437,6 @@ def rank_sources(
         # Every other source scores 0: fill the places left in id order.
         positive = set(best)
         best += itertools.islice((i for i in range(len(sources)) if i not in positive), top_k - len(best))
-    ranked = []
-    for i in best:
-        source, source_records = sources[i]
-        rows: list[LocalScores] = []
-        score = _score(target, records, source, source_records, ctx, rows)
-        ranked.append((source, source_records, RetrievalResult(score=score, breakdown=rows)))
-    return records, ranked
+    groups = [[sources[i]] for i in best] if fallback else [[sources[i] for i in best]]
+    results = [result for group in groups for result in _measure(target, records, group, ctx, kinds)]
+    return [(sources[i][0], *result) for i, result in zip(best, results)]

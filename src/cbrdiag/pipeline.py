@@ -4,7 +4,8 @@ The full query runs in four steps: imprecise numeric descriptors of the
 target are corrected through their fuzzy profiles, retrieval scores every
 source (excluding uncertain descriptors), the top ranked cases get an
 adaptation score, and the case with the highest adaptation score is selected
-so its recorded solution can be proposed.
+so its recorded solution can be proposed. The top ranked cases get their
+retrieval and adaptation breakdowns from one pass of the scoring kernel.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from .adaptation import AdaptationTerm, _adapt
 from .cases import Case, CaseBase, NumericValue, Solution
 from .errors import ConfigurationError, MissingProfileError
 from .fuzzy import FuzzyProfile, correct_imprecise
-from .measures import LocalScores, ScoringContext, ScoringMode, rank_sources
+from .measures import _ADAPTATION, _RETRIEVAL, AdaptationTerm, LocalScores, ScoringMode, rank_sources
 
 
 @dataclass(frozen=True)
@@ -74,29 +74,34 @@ def prepare_target(
 
 
 def _retrieve(
-    target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int
-) -> tuple[Case, DiagnosisOutcome, list[tuple], list[tuple]]:
-    """Retrieval as :func:`retrieve` runs it: the target as scored, the
-    outcome with its ranking and correction log but no selection, and the
-    target's records and ranked sources as :func:`rank_sources` returns them."""
+    target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int, kinds: int = _RETRIEVAL
+) -> DiagnosisOutcome:
+    """Retrieval as :func:`retrieve` runs it: the outcome with its ranking
+    and correction log but no selection. With ``_ADAPTATION`` in ``kinds``
+    (enhanced mode only), every ranked case also gets its adaptation score
+    and breakdown, from the pass that builds its retrieval breakdown."""
     if top_k < 1:
         raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
     corrections: list[Correction] = []
     if mode is ScoringMode.ENHANCED:
         target, corrections = prepare_target(target, case_base.profiles)
-    records, ranked = rank_sources(target, case_base, mode, top_k)
     ranking = [
-        ScoredCase(case_id=source.id, m_r=result.score, breakdown_r=result.breakdown)
-        for source, _, result in ranked
+        ScoredCase(
+            case_id=source.id,
+            m_r=retrieval.score,
+            breakdown_r=retrieval.breakdown,
+            m_a=None if adaptation is None else adaptation.score,
+            breakdown_a=None if adaptation is None else adaptation.breakdown,
+        )
+        for source, retrieval, adaptation in rank_sources(target, case_base, mode, top_k, kinds)
     ]
-    outcome = DiagnosisOutcome(
+    return DiagnosisOutcome(
         selected_case_id=None,
         solution=None,
         ranking=ranking,
         mode=mode,
         corrections_applied=corrections,
     )
-    return target, outcome, records, ranked
 
 
 def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -> list[ScoredCase]:
@@ -106,7 +111,7 @@ def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -
     In enhanced mode the target is corrected first. An empty case base gives
     an empty list.
     """
-    return _retrieve(target, case_base, mode, top_k)[1].ranking
+    return _retrieve(target, case_base, mode, top_k).ranking
 
 
 def diagnose(target: Case, case_base: CaseBase, top_k: int = 3) -> DiagnosisOutcome:
@@ -117,21 +122,12 @@ def diagnose(target: Case, case_base: CaseBase, top_k: int = 3) -> DiagnosisOutc
     the selected case's solution, both breakdowns for every retrieved case,
     and the correction log; with nothing retrieved, nothing is selected.
     """
-    prepared, retrieved, records, ranked = _retrieve(target, case_base, ScoringMode.ENHANCED, top_k)
+    retrieved = _retrieve(target, case_base, ScoringMode.ENHANCED, top_k, _RETRIEVAL | _ADAPTATION)
     if not retrieved.ranking:
         return retrieved
-    ctx = ScoringContext(
-        taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=ScoringMode.ENHANCED
-    )
-    ranking: list[ScoredCase] = []
-    # Adaptation reads the records the ranking compiled, in ranking order.
-    for sc, (source, source_records, _) in zip(retrieved.ranking, ranked):
-        result = _adapt(prepared, records, source, source_records, ctx)
-        ranking.append(replace(sc, m_a=result.score, breakdown_a=result.breakdown))
-    selected = min(ranking, key=lambda sc: (-sc.m_a, -sc.m_r, sc.case_id))
+    selected = min(retrieved.ranking, key=lambda sc: (-sc.m_a, -sc.m_r, sc.case_id))
     return replace(
         retrieved,
         selected_case_id=selected.case_id,
         solution=case_base.cases[selected.case_id].solution,
-        ranking=ranking,
     )

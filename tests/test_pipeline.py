@@ -220,7 +220,8 @@ def test_diagnose_selection_matches_naive_reference(bundle):
     case_base, target = bundle
     outcome = diagnose(target, case_base, top_k=5)
     assert outcome.selected_case_id == naive_select(target, case_base, top_k=5)
-    # Every adaptation score and breakdown, not only the selection's winner.
+    # Every score and breakdown, not only the selection's winner: diagnose
+    # builds both kinds of rows in one pass over the ranked sources.
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
     prepared = prepare_target(target, case_base.profiles)[0]
     naive_prepared = naive_prepare(target, case_base.profiles)
@@ -229,6 +230,9 @@ def test_diagnose_selection_matches_naive_reference(bundle):
         naive = naive_adaptation_score(naive_prepared, source, case_base.taxonomy, case_base.profiles)
         assert sc.m_a.hex() == naive.hex()
         assert sc.breakdown_a == adaptation_measure(prepared, source, ctx).breakdown
+        retrieval = retrieval_measure(prepared, source, ctx)
+        assert sc.m_r.hex() == retrieval.score.hex()
+        assert sc.breakdown_r == retrieval.breakdown
 
 
 @given(case_bundles(min_sources=1))
@@ -311,6 +315,38 @@ def test_adaptation_skips_a_pair_without_operating_modes(engine_case_base):
     assert unknown.operating_mode is OperatingMode.UNSPECIFIED
     bad = _with_source_descriptor(engine_case_base, "source2", unknown)
     assert diagnose(target, bad, top_k=3).selected_case_id == "source3"
+    # Certain, the same pair is evaluated by retrieval only.
+    certain = _with_source_descriptor(engine_case_base, "source2", replace(unknown, flags=ImperfectionFlags()))
+    ctx = ScoringContext(taxonomy=certain.taxonomy, profiles=certain.profiles)
+    prepared = prepare_target(target, certain.profiles)[0]
+    source = certain.cases["source2"]
+    assert adaptation_measure(prepared, source, ctx).score > 0
+    with pytest.raises(UnknownLabelError) as err:
+        retrieval_measure(prepared, source, ctx)
+    assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+
+
+def test_adaptation_raises_the_first_ranked_sources_error(engine_case_base):
+    # Unvalidated: source2 and source3 each hold an unknown label that only
+    # adaptation evaluates, source2 on ds9 and source3 on the earlier ds2.
+    # source2 ranks first, so its error is the one raised, although a pass
+    # taking the ranked sources' ds2 before their ds9 would meet source3's.
+    target = engine_case_base.cases["target"]
+    ds9 = engine_case_base.cases["source2"].descriptors["ds9"]
+    ds2 = engine_case_base.cases["source3"].descriptors["ds2"]
+    bad = _with_source_descriptor(engine_case_base, "source2", replace(ds9, value=SymbolicValue("warp drive")))
+    doubtful = ImperfectionFlags(uncertain=True)
+    unknown = replace(ds2, value=SymbolicValue("flux capacitor"), flags=doubtful, operating_mode=OperatingMode.ABNORMAL)
+    bad = _with_source_descriptor(bad, "source3", unknown)
+    ranking = retrieve(target, bad, ScoringMode.ENHANCED, 3)
+    assert [sc.case_id for sc in ranking][:2] == ["source2", "source3"]
+    for top_k in (2, 3):
+        with pytest.raises(UnknownLabelError) as err:
+            diagnose(target, bad, top_k=top_k)
+        assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+    with pytest.raises(UnknownLabelError) as err:
+        adaptation_measure(target, bad.cases["source3"], ScoringContext(bad.taxonomy, bad.profiles))
+    assert str(err.value) == "unknown taxonomy label: 'flux capacitor'"
 
 
 def test_source_outside_domain_raises_in_enhanced_retrieve(engine_case_base):
