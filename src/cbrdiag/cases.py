@@ -172,10 +172,11 @@ class CaseBase:
 
 @contextlib.contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while a case base is built.
+    """Pause the cyclic garbage collector while a case base is built or
+    encoded.
 
-    Decoding and compiling allocate many tracked objects and build no
-    cycles, so every collection meanwhile would walk all of them for
+    Decoding, compiling and encoding allocate many tracked objects and build
+    no cycles, so every collection meanwhile would walk all of them for
     nothing. The caller's state is restored on every exit: the collector is
     re-enabled only if it was enabled on entry. The switch is process-wide.
     """

@@ -6,7 +6,13 @@ and the cases; descriptor values encode as {"symbolic": <label>} or
 {"numeric": <magnitude>, "unit": <u>}, operating modes as "N"/"A"/null.
 
 Encoding is deterministic: sorted keys, ids ascending, floats rendered with
-full round-trip precision. Decoding never yields a partial case base; every
+full round-trip precision. Every document is exactly the bytes of
+``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False,
+allow_nan=False)`` plus a newline, but most of it comes from json's C
+encoder, which ``indent`` would switch off: each flat container, and each
+list of flat rows, is encoded in one call whose item separator carries the
+newline and indent of its level. Only the containers that hold containers
+are walked in Python. Decoding never yields a partial case base; every
 problem is reported with the field path where it was found.
 """
 
@@ -14,6 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
+from itertools import chain
+from json.encoder import encode_basestring
 from typing import Any, NoReturn, Optional
 
 from .adaptation import AdaptationResult, AdaptationTerm
@@ -133,8 +142,9 @@ _FIELDS = {
 
 
 def _encode_row(row: Any) -> dict:
-    """A flat record as its document object; the field names are the keys."""
-    return dict(vars(row))
+    """A flat record as its document object, the record's own attribute
+    dict: the field names are the keys. Callers only read it."""
+    return vars(row)
 
 
 def _decode_row(cls: type, value: Any, path: str) -> Any:
@@ -148,8 +158,62 @@ def _decode_rows(cls: type, value: Any, path: str) -> list:
     return [_decode_row(cls, row, f"{path}[{i}]") for i, row in enumerate(_as_list(value, path))]
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@cache
+def _encoder(level: int) -> Any:
+    """The encoder for one nesting level: it writes the items of a container
+    on lines of their own, indented to ``level``. It is only ever given
+    scalars and flat containers, which cannot hold a cycle."""
+    return json.JSONEncoder(
+        sort_keys=True,
+        ensure_ascii=False,
+        allow_nan=False,
+        check_circular=False,
+        separators=(",\n" + "  " * level, ": "),
+    ).encode
+
+
+def _encode(value: Any, level: int) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it with its items at
+    ``level``: a flat container, or a list of flat objects, in one call to an
+    encoder, and any other container item by item."""
+    if type(value) is str:
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return _encoder(level)(value)
+    indent = "\n" + "  " * level
+    close = "\n" + "  " * (level - 1)
+    if isinstance(value, dict):
+        if _SCALARS.issuperset(map(type, value.values())):
+            return "{" + indent + _encoder(level)(value)[1:-1] + close + "}"
+        items = [encode_basestring(k) + ": " + _encode(v, level + 1) for k, v in sorted(value.items())]
+        return "{" + indent + ("," + indent).join(items) + close + "}"
+    if _SCALARS.issuperset(map(type, value)):
+        return "[" + indent + _encoder(level)(value)[1:-1] + close + "]"
+    if all(value) and set(map(type, value)) == {dict} and _SCALARS.issuperset(
+        map(type, chain.from_iterable(map(dict.values, value)))
+    ):
+        # No encoded string holds a raw newline, so "},\n" ends a row.
+        inner = indent + "  "
+        rows = _encoder(level + 1)(value)[2:-2]
+        rows = rows.replace("}," + inner + "{", indent + "}," + indent + "{" + inner)
+        return "[" + indent + "{" + inner + rows + indent + "}" + close + "]"
+    return "[" + indent + ("," + indent).join([_encode(v, level + 1) for v in value]) + close + "]"
+
+
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False,
+    allow_nan=False)`` and a newline, byte for byte, for a document whose
+    keys are strings."""
+    return _encode(doc, 1) + "\n"
 
 
 def _parse_json(text: str) -> Any:
@@ -383,9 +447,11 @@ def _encode_case(case: Case) -> dict:
     }
 
 
+@_collector_paused()
 def encode_case_base(case_base: CaseBase) -> str:
     """Render a case base as its canonical document: same value in, same
-    bytes out."""
+    bytes out. The cyclic garbage collector is paused while it runs, as in
+    ``decode_case_base``."""
     doc = {
         "format_version": FORMAT_VERSION,
         "taxonomy": [

@@ -530,6 +530,9 @@ def test_cli_is_total(fixture_text, data):
         cases[data.draw(st.integers(0, len(cases) - 1))]["id"] = data.draw(wide_text())
     if not bundle or data.draw(st.booleans()):
         document = data.draw(single_field_mutations(document))
+    # The ids as the CLI reads them from the file: json.dump escapes a
+    # surrogate pair, and decoding joins it into one character.
+    document = json.loads(json.dumps(document))
     fmt = data.draw(st.sampled_from(["machine", "table"]))
     mode = data.draw(st.sampled_from(["enhanced", "typical"]))
     with tempfile.TemporaryDirectory() as directory:

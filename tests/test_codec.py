@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -30,7 +32,9 @@ from cbrdiag import (
     retrieve,
 )
 from cbrdiag.cases import FLAG_VALUES
-from strategies import case_bundles, json_items, single_field_mutations
+from cbrdiag.codec import _dump, encode_explanation
+from cbrdiag.measures import AdaptationResult, RetrievalResult
+from strategies import case_bundles, json_items, single_field_mutations, wide_text
 
 
 def test_fixture_decodes(engine_case_base):
@@ -290,6 +294,8 @@ def test_loading_leaves_the_collector_as_found(fixture_text, collector, keys, va
         assert gc.isenabled() is collector
         # The first query compiles the sources.
         retrieve(case_base.cases["target"], case_base, ScoringMode.ENHANCED, 3)
+        assert gc.isenabled() is collector
+        encode_case_base(case_base)
     else:
         document = _replaced(json.loads(fixture_text), keys, value)
         with pytest.raises(error):
@@ -375,6 +381,34 @@ def test_encoding_is_canonical(bundle):
     assert encode_case_base(case_base) == text
 
 
+# Strings that could pass for the layout around them if the encoder left
+# them unescaped.
+_TEXT = st.lists(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "é", "水", "},\n  {", '"},\n    {"']) | wide_text(4),
+    max_size=3,
+).map("".join)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _TEXT
+_FLAT = _SCALARS | st.builds(dict) | st.builds(list)
+_ROWS = st.lists(st.dictionaries(_TEXT, _FLAT, min_size=1, max_size=4), min_size=1, max_size=4)
+_TREES = st.recursive(
+    _FLAT | _ROWS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize("accelerated", [True, False], ids=["c", "python"])
+@given(doc=_TREES)
+def test_dump_matches_stdlib_indent(accelerated, doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    if accelerated:
+        assert _dump(doc) == expected
+    else:
+        # The encoder json falls back to on interpreters built without _json.
+        with mock.patch.object(json.encoder, "c_make_encoder", None):
+            assert _dump(doc) == expected
+
+
 @given(case_bundles())
 def test_outcome_round_trip(bundle):
     case_base, target = bundle
@@ -429,16 +463,42 @@ def test_non_finite_number_rejected_with_path(fixture_text, token, path):
 def test_encoders_refuse_non_finite_numbers(engine_case_base):
     target = engine_case_base.cases["target"]
     ds3 = target.descriptors["ds3"]
-    bad = replace(
-        target,
-        descriptors={**target.descriptors, "ds3": replace(ds3, value=NumericValue(float("nan"), "°C"))},
-    )
-    with pytest.raises(ValueError):
-        encode_case_base(replace(engine_case_base, cases={**engine_case_base.cases, "target": bad}))
     outcome = diagnose(target, engine_case_base)
-    corrections = [replace(outcome.corrections_applied[0], original=float("inf"))]
-    with pytest.raises(ValueError):
-        encode_outcome(replace(outcome, corrections_applied=corrections))
+    best = outcome.ranking[0]
+
+    def explain(retrieval, adaptation):
+        return encode_explanation(
+            outcome.mode, target.id, best.case_id, outcome.corrections_applied, retrieval, adaptation
+        )
+
+    retrieval = RetrievalResult(best.m_r, best.breakdown_r)
+    adaptation = AdaptationResult(best.m_a, best.breakdown_a)
+    explain(retrieval, adaptation)
+    for bad in (math.nan, math.inf, -math.inf):
+        bad_target = replace(
+            target, descriptors={**target.descriptors, "ds3": replace(ds3, value=NumericValue(bad, "°C"))}
+        )
+        with pytest.raises(ValueError):
+            encode_case_base(replace(engine_case_base, cases={**engine_case_base.cases, "target": bad_target}))
+        corrections = [replace(outcome.corrections_applied[0], original=bad)]
+        with pytest.raises(ValueError):
+            encode_outcome(replace(outcome, corrections_applied=corrections))
+        # A breakdown row goes to the encoder with the rest of its list; a
+        # ranking entry's scores are encoded one by one.
+        rows = [replace(best.breakdown_r[0], product=bad), *best.breakdown_r[1:]]
+        with pytest.raises(ValueError):
+            encode_outcome(replace(outcome, ranking=[replace(best, breakdown_r=rows)]))
+        with pytest.raises(ValueError):
+            encode_outcome(replace(outcome, ranking=[replace(best, m_r=bad)]))
+        with pytest.raises(ValueError):
+            explain(replace(retrieval, score=bad), adaptation)
+        with pytest.raises(ValueError):
+            explain(retrieval, replace(adaptation, breakdown=[replace(adaptation.breakdown[0], term=bad)]))
+    # Finite terms whose running sum overflows.
+    for sign in (1, -1):
+        huge = replace(adaptation.breakdown[0], term=sign * 1e308)
+        with pytest.raises(ValueError):
+            explain(retrieval, replace(adaptation, breakdown=[huge, huge]))
 
 
 @pytest.mark.parametrize(
