@@ -19,7 +19,7 @@ builds the retrieval rows of the returned sources, from one value per pair.
 from __future__ import annotations
 
 from .cases import Case, OperatingMode
-from .measures import _ADAPTATION, AdaptationResult, AdaptationTerm, ScoringContext, _measure_one, _weight
+from .measures import _ADAPTATION, AdaptationResult, AdaptationTerm, ScoringContext, ScoringMode, _measure_one, _weight
 
 
 def lambda_weight(target_mode: OperatingMode, source_mode: OperatingMode) -> int:
@@ -39,4 +39,7 @@ def adaptation_measure(target: Case, source: Case, ctx: ScoringContext) -> Adapt
     descriptor-id order; with no mode-bearing co-present descriptor the score
     is 0.
     """
+    # Adaptation compares values as enhanced mode does, whatever ctx says.
+    if ctx.mode is not ScoringMode.ENHANCED:
+        ctx = ScoringContext(taxonomy=ctx.taxonomy, profiles=ctx.profiles)
     return _measure_one(target, source, ctx, _ADAPTATION)[1]

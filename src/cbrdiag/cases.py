@@ -179,6 +179,13 @@ def _collector_paused() -> Iterator[None]:
     no cycles, so every collection meanwhile would walk all of them for
     nothing. The caller's state is restored on every exit: the collector is
     re-enabled only if it was enabled on entry. The switch is process-wide.
+
+    What was built meanwhile is long-lived but still young. Left there, the
+    next young-generation collections would walk all of it, once per
+    generation, at a point set only by how many objects the caller allocates
+    next. So before re-enabling, every tracked object moves to the oldest
+    generation, without being walked: frozen, then unfrozen into it. That is
+    skipped if the caller froze objects, which unfreezing would release.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -186,6 +193,9 @@ def _collector_paused() -> Iterator[None]:
         yield
     finally:
         if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -14,29 +14,29 @@ descriptors whose value is uncertain on either side from both sums.
 Scoring runs over per-descriptor records rather than descriptors: the kind,
 label or magnitude, unit, casefolded state, operating mode, uncertain flag,
 and the fuzzy subset of a profiled in-domain numeric. A case base compiles
-its sources into records once; a target is compiled per query. The value
-factors of one target record against a list of source records come from one
-call, which asks the taxonomy once for a whole list of labels. One kernel
-builds every breakdown row: it walks the target's records against a list of
-sources and builds, per source, the retrieval rows, the adaptation rows of
-:mod:`cbrdiag.adaptation`, or both, from one value per pair. A pair's value
-comes from that call, or from :func:`phi_value` on the real descriptors
-when either record is one the call cannot score.
+its sources into records once; a target is compiled per query, and each of
+its records gets one value function, which states the value rules for every
+pair of that record, once for ranking and breakdowns alike. One
+kernel builds every breakdown row: it walks the target's records against a
+list of sources and builds, per source, the retrieval rows, the adaptation
+rows of :mod:`cbrdiag.adaptation`, or both, from one value per pair. A
+pair's value comes from the value function, or from :func:`phi_value` on
+the real descriptors when either record is one no value function can score.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
 mode only when neither value is uncertain. So the compiled base keeps
 posting lists of source records keyed by (descriptor id, state, mode,
 uncertain flag), each record carrying its source's position. Each target
-descriptor takes the values of a whole list in one call and adds them to
-per-source numerators: from the one certain list that matches it in
-enhanced mode, and from the certain and the uncertain one in typical mode.
-The denominator counts co-present descriptors, certain ones in enhanced
-mode, as the bits two descriptor-id masks share.
-The kernel then builds the rows of the returned sources in one call. A
-base or target holding a record the call cannot score (only an unvalidated
-one does) is scored source by source with the kernel instead, so it raises
-where and what the kernel raises.
+descriptor adds its value function's value of every record of a list to
+per-source numerators as it walks the list: the one certain list that
+matches it in enhanced mode, and the certain and the uncertain one in
+typical mode. The denominator counts co-present descriptors, certain ones
+in enhanced mode, as the bits two descriptor-id masks share. The kernel then
+builds the rows of the returned sources in one call, with the same value
+functions. A base or target holding a record no value function can score
+(only an unvalidated one does) is scored source by source with the kernel
+instead, so it raises where and what the kernel raises.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, OperatingMode, SymbolicValue
 from .cases import _collector_paused
@@ -144,21 +144,25 @@ def phi_value(
             return 1.0 if same_class(x, y, profile) else 0.0
         if profile is None:
             return 0.0
-        return _linear_closeness(x, [y], profile)[0]
+        return _linear_closeness(x, y, profile)
     return 0.0
 
 
-def _linear_closeness(x: float, ys: list[float], profile: FuzzyProfile) -> list[float]:
-    """Typical-mode closeness of a magnitude to each of ``ys``: 1 when equal,
-    otherwise linear distance over the profile's domain span."""
+def _linear_closeness(x: float, y: float, profile: FuzzyProfile) -> float:
+    """Typical-mode closeness of two unequal magnitudes: linear distance over
+    the profile's domain span, clamped to [0, 1].
+
+    Magnitudes of an unvalidated base may lie outside the domain or be NaN,
+    hence the clamp; :func:`_valuer` scores in-domain ones without it.
+    """
     span = profile.domain_upper - profile.domain_lower
     if span <= 0:
-        return [1.0 if x == y else 0.0 for y in ys]
+        return 0.0
     # max first: max(0.0, nan) is 0.0, while min(1.0, nan) is 1.0.
-    return [1.0 if x == y else min(1.0, max(0.0, 1.0 - abs(x - y) / span)) for y in ys]
+    return min(1.0, max(0.0, 1.0 - abs(x - y) / span))
 
 
-# Record kinds. An _OTHER record is one _pair_values cannot score
+# Record kinds. An _OTHER record is one a value function cannot score
 # (an unknown label, a numeric without a profile, outside its domain or not
 # finite, or an unknown value type): its pairs go through phi_value on the
 # real descriptors, so they return or raise exactly what phi_value does.
@@ -197,34 +201,49 @@ def _record(
     return (_OTHER, None, None, state, om, uncertain, None, position)
 
 
+def _valuer(t: tuple, profile: Optional[FuzzyProfile], enhanced: bool, taxonomy: Taxonomy) -> Optional[Callable]:
+    """The value function of a target record: the value factor of the record
+    and a source record, neither ``_OTHER``, as :func:`phi_value` gives it
+    for their descriptors. None for an ``_OTHER`` target record.
+
+    Kinds and units must match (symbolic records carry no unit). Labels take
+    the taxonomy's similarity. Equal magnitudes score 1; otherwise enhanced
+    mode compares fuzzy subsets and typical mode takes the linear closeness
+    over the domain span.
+    """
+    kind, key, unit, _, _, _, subset, _ = t
+    if kind is _SYMBOLIC:
+        similarity = taxonomy._similarity(key)
+        return lambda s: similarity(s[1]) if s[0] is _SYMBOLIC else 0.0
+    if kind is not _NUMERIC:
+        return None
+    if enhanced:
+        return lambda s: (
+            1.0
+            if s[0] is _NUMERIC and s[2] == unit and (s[1] == key or subset is not None and s[6] == subset)
+            else 0.0
+        )
+    # No clamp, unlike _linear_closeness: both magnitudes are finite and in
+    # the domain, so |x - y| <= span holds after rounding too (rounding is
+    # monotone), and the span is finite. It is 0 only for a one-point domain,
+    # whose magnitudes are all equal.
+    span = profile.domain_upper - profile.domain_lower
+    return lambda s: (
+        (1.0 if s[1] == key else 1.0 - abs(key - s[1]) / span) if s[0] is _NUMERIC and s[2] == unit else 0.0
+    )
+
+
 def _target_records(target: Case, ctx: ScoringContext, dids: Optional[Iterable[str]] = None) -> list[tuple]:
     """The target's records of ``dids`` (all its descriptors by default) in
-    id order, each led by its id and ending with the descriptor's profile in
-    place of a source position."""
+    id order, each led by its id and ending with its value function in
+    ``ctx.mode`` (:func:`_valuer`) in place of a source position."""
     records = []
+    enhanced = ctx.mode is ScoringMode.ENHANCED
     for did in sorted(target.descriptors if dids is None else dids):
         profile = ctx.profiles.get(did)
         record = _record(target.descriptors[did], ctx.taxonomy, profile)
-        records.append((did, *record[:-1], profile))
+        records.append((did, *record[:-1], _valuer(record, profile, enhanced, ctx.taxonomy)))
     return records
-
-
-def _pair_values(t: tuple, records: Sequence[tuple], enhanced: bool, taxonomy: Taxonomy) -> list[float]:
-    """The value factors of a target record (as :func:`_target_records` gives
-    it) and each of the source records, none of them ``_OTHER``."""
-    _, t_kind, t_key, t_unit, _, _, _, t_subset, profile = t
-    # Symbolic records carry no unit, so one test compares kinds and units.
-    kept = [s for s in records if s[0] is t_kind and s[2] == t_unit]
-    if t_kind is _SYMBOLIC:
-        values = taxonomy.value_similarities(t_key, [s[1] for s in kept])
-    elif enhanced:
-        values = [1.0 if s[1] == t_key or t_subset is not None and s[6] == t_subset else 0.0 for s in kept]
-    else:
-        values = _linear_closeness(t_key, [s[1] for s in kept], profile)
-    if len(kept) < len(records):  # the others differ in kind or unit and score 0
-        kept_values = iter(values)
-        values = [next(kept_values) if s[0] is t_kind and s[2] == t_unit else 0.0 for s in records]
-    return values
 
 
 # The row kinds the kernel builds, as bits.
@@ -244,62 +263,53 @@ def _measure(
     ``_ADAPTATION``, from the target's records (as :func:`_target_records`
     gives them) and each source's records by descriptor id.
 
-    It walks the target's records in id order. The pairs of one record with
-    the sources that record its id take their values from one
-    :func:`_pair_values` call, only the pairs a requested row needs and each
-    once: a retrieval row needs the value of a pair present in ``ctx.mode``,
-    an adaptation row that of a pair whose operating modes are not both
-    unspecified. Adaptation values are always enhanced, so both kinds are
-    asked for together only in enhanced mode. An ``_OTHER`` record on either
-    side sends its pair to :func:`phi_value` on the real descriptors instead.
-    Sums run over the rows in id order.
+    It walks the target's records in id order, and each against the sources
+    that record its id. A pair takes its value from the target record's
+    value function, only if a requested row needs it: a retrieval row needs
+    the value of a pair present in ``ctx.mode``, an adaptation row that of a
+    pair whose operating modes are not both unspecified. Adaptation values
+    are always enhanced, so adaptation rows are asked for only with an
+    enhanced ``ctx``. An ``_OTHER`` record on either side sends its pair to
+    :func:`phi_value` on the real descriptors instead. Sums run over the
+    rows in id order.
     """
     retrieval, adaptation = bool(kinds & _RETRIEVAL), bool(kinds & _ADAPTATION)
-    enhanced = not retrieval or ctx.mode is ScoringMode.ENHANCED
-    mode = ScoringMode.ENHANCED if enhanced else ScoringMode.TYPICAL
+    enhanced = ctx.mode is ScoringMode.ENHANCED
     retrieval_rows: list[list[LocalScores]] = [[] for _ in sources]
     adaptation_rows: list[list[AdaptationTerm]] = [[] for _ in sources]
     # Per source: the retrieval numerator and denominator and the adaptation numerator.
     sums = [[0.0, 0, 0.0] for _ in sources]
-    for t in target_records:
-        did, t_kind, _, _, t_state, t_om, t_uncertain, _, _ = t
-        pairs, batch = [], []
+    for did, _, _, _, t_state, t_om, t_uncertain, _, value in target_records:
         for i, (source, records) in enumerate(sources):
             s = records.get(did)
-            if s is not None:
-                # In enhanced mode an uncertain value on either side keeps the
-                # pair out of retrieval; doubt does not keep it out of adaptation.
-                present = retrieval and not (enhanced and (t_uncertain or s[5]))
-                adapted = adaptation and (t_om != _UNSPECIFIED or s[4] != _UNSPECIFIED)
-                pairs.append((i, source, s, present, adapted))
-                if (present or adapted) and s[0] is not _OTHER:
-                    batch.append(s)
-        if not pairs:
-            continue
-        values = iter(_pair_values(t, batch, enhanced, ctx.taxonomy) if batch and t_kind is not _OTHER else ())
-        for i, source, s, present, adapted in pairs:
+            if s is None:
+                continue
+            # In enhanced mode an uncertain value on either side keeps the
+            # pair out of retrieval; doubt does not keep it out of adaptation.
+            present = retrieval and not (enhanced and (t_uncertain or s[5]))
+            adapted = adaptation and (t_om != _UNSPECIFIED or s[4] != _UNSPECIFIED)
             if not (present or adapted):
-                value = 0.0
-            elif t_kind is _OTHER or s[0] is _OTHER:
+                phi = 0.0
+            elif value is None or s[0] is _OTHER:
                 pair = AlignmentPair(did, target.descriptors[did], source.descriptors[did])
-                value = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), mode)
+                phi = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
             else:
-                value = next(values)
+                phi = value(s)
             if retrieval:
                 presence = 1 if present else 0
                 # States agree when both are absent or equal ignoring case.
                 state = 1 if t_state == s[3] else 0
                 # Modes must match exactly: a one-sided blank cannot certify agreement.
                 om = 1 if t_om == s[4] else 0
-                phi = value if present else 0.0
-                product = phi * state * presence * om
-                retrieval_rows[i].append(LocalScores(did, phi, state, presence, om, product))
+                factor = phi if present else 0.0
+                product = factor * state * presence * om
+                retrieval_rows[i].append(LocalScores(did, factor, state, presence, om, product))
                 sums[i][0] += product
                 sums[i][1] += presence
             if adapted:
                 weight = _weight(t_om, s[4])
-                term = weight * value
-                adaptation_rows[i].append(AdaptationTerm(did, weight, 1, value, term))
+                term = weight * phi
+                adaptation_rows[i].append(AdaptationTerm(did, weight, 1, phi, term))
                 sums[i][2] += term
     return [
         (
@@ -389,22 +399,23 @@ def rank_sources(
     each with the results of the row ``kinds`` the kernel gives them.
 
     Scores accumulate term-at-a-time: each of the target's descriptors, in id
-    order and leaving out uncertain ones in enhanced mode, takes the values
-    of the posting lists of its id, state and mode, one call per list, and
-    adds each to the numerator of the record's source. Enhanced mode reads
+    order and leaving out uncertain ones in enhanced mode, walks the posting
+    lists of its id, state and mode and adds its value function's value of
+    each record to the numerator of the record's source. Enhanced mode reads
     the list of certain source values only, typical mode also the uncertain
-    one. A source is in at most one of these lists, so it gets one addition
-    per target descriptor, in target-id order, whatever the order within a
-    list: these are the additions the kernel makes, in its order, less those
-    of products that are 0. Each numerator is divided by the number of bits
-    the target's mask and the source's share. When the base or the target
-    holds an ``_OTHER`` record, the kernel scores every source in id order
-    instead, so that it raises what and where the kernel raises. Sources
-    scoring 0 fill the places left after the positive scores, in id order,
-    and a ``top_k`` past the number of sources returns them all. Only the
-    returned sources get rows, from one kernel call; or, after the kernel
-    scored every source, from one call per source in ranking order, so that
-    an error an adaptation row raises is the first ranked source's.
+    one, with the same function. A source is in at most one of these lists,
+    so it gets one addition per target descriptor, in target-id order,
+    whatever the order within a list: these are the additions the kernel
+    makes, in its order, less those of products that are 0. Each numerator
+    is divided by the number of bits the target's mask and the source's
+    share. When the base or the target holds an ``_OTHER`` record, the kernel
+    scores every source in id order instead, so that it raises what and
+    where the kernel raises. Sources scoring 0 fill the places left after the
+    positive scores, in id order, and a ``top_k`` past the number of sources
+    returns them all. Only the returned sources get rows, from one kernel
+    call with the same value functions; or, after the kernel scored every
+    source, from one call per source in ranking order, so that an error an
+    adaptation row raises is the first ranked source's.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
@@ -418,16 +429,13 @@ def rank_sources(
         numerators: defaultdict[int, float] = defaultdict(float)
         target_mask = 0
         uncertain_flags = (False,) if enhanced else (False, True)
-        for t in records:
-            did, _, _, _, t_state, t_om, t_uncertain, _, _ = t
+        for did, _, _, _, t_state, t_om, t_uncertain, _, value in records:
             if enhanced and t_uncertain:
                 continue
             target_mask |= bits.get(did, 0)
             for uncertain in uncertain_flags:
-                posting = postings.get((did, t_state, t_om, uncertain))
-                if posting:
-                    for s, value in zip(posting, _pair_values(t, posting, enhanced, case_base.taxonomy)):
-                        numerators[s[7]] += value
+                for s in postings.get((did, t_state, t_om, uncertain), ()):
+                    numerators[s[7]] += value(s)
         source_masks = masks[mode]
         scores = {i: numerators[i] / (target_mask & source_masks[i]).bit_count() for i in sorted(numerators)}
     top_k = min(top_k, len(sources))

@@ -8,7 +8,8 @@ the root.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from bisect import bisect_right
+from typing import Callable, Iterable, Optional
 
 from .errors import UnknownLabelError
 
@@ -28,9 +29,12 @@ class Taxonomy:
         for name, par in parent.items():
             if par is not None and par not in parent:
                 raise ValueError(f"taxonomy node {name!r} has unknown parent {par!r}")
-        # The depth of every node, so that a table linear in the size of the
-        # tree, not a root path per node, serves every comparison.
+        # The depth and the pre-order position of every node, and the last
+        # position of its subtree (a subtree's nodes take consecutive
+        # positions), so that tables linear in the size of the tree, not a
+        # root path per node, serve every comparison.
         depth: dict[str, int] = {roots[0]: 0}
+        first: dict[str, int] = {}
         children: dict[str, list[str]] = {n: [] for n in parent}
         for name, par in parent.items():
             if par is not None:
@@ -38,14 +42,22 @@ class Taxonomy:
         frontier = [roots[0]]
         while frontier:
             node = frontier.pop()
+            first[node] = len(first)
             for child in children[node]:
                 depth[child] = depth[node] + 1
                 frontier.append(child)
         if len(depth) != len(parent):
             orphaned = sorted(set(parent) - set(depth))
             raise ValueError(f"taxonomy contains a cycle through {orphaned!r}")
+        last = dict(first)
+        for node in reversed(first):  # every node after its parent
+            par = parent[node]
+            if par is not None and last[node] > last[par]:
+                last[par] = last[node]
         self._parent = parent
         self._depth = depth
+        self._first = first
+        self._last = last
         self._root = roots[0]
 
     def __eq__(self, other: object) -> bool:
@@ -73,26 +85,15 @@ class Taxonomy:
         if name not in self._parent:
             raise UnknownLabelError(name)
 
-    def _ancestors(self, name: Optional[str]) -> set[str]:
-        """A known label and all its ancestors."""
-        ancestors = set()
-        while name is not None:
-            ancestors.add(name)
-            name = self._parent[name]
-        return ancestors
-
-    def _lowest_in(self, ancestors: set[str], name: str) -> str:
-        """The deepest of a known label and its ancestors that is in
-        ``ancestors``, a set holding the root."""
-        while name not in ancestors:
-            name = self._parent[name]
-        return name
-
     def lowest_common_ancestor(self, a: str, b: str) -> str:
         """Deepest node that is an ancestor-or-self of both labels."""
         self._require(a)
         self._require(b)
-        return self._lowest_in(self._ancestors(a), b)
+        first, last = self._first, self._last
+        # The first of b and its ancestors whose subtree holds a.
+        while not first[b] <= first[a] <= last[b]:
+            b = self._parent[b]
+        return b
 
     def value_similarity(self, a: str, b: str) -> float:
         """Depth-ratio similarity of two labels, in [0, 1].
@@ -100,22 +101,38 @@ class Taxonomy:
         1.0 iff the labels are identical; distinct same-depth siblings score
         strictly below 1; labels meeting only at a depth-0 root score 0.
         """
-        return self.value_similarities(a, [b])[0]
+        return self._similarity(a)(b)
 
     def value_similarities(self, a: str, labels: list[str]) -> list[float]:
         """The :meth:`value_similarity` of ``a`` and each of ``labels``, in
-        order, computed once per distinct label."""
+        order."""
+        return list(map(self._similarity(a), labels))
+
+    def _similarity(self, a: str) -> Callable[[str], float]:
+        """The :meth:`value_similarity` of ``a`` and a label, as a function."""
         self._require(a)
-        depth = self._depth
-        # The lowest common ancestor of a and b is the first of b's ancestors in a's.
-        ancestors = self._ancestors(a)
-        depth_a = depth[a]
-        similarity = {a: 1.0}
-        for b in labels:
-            if b not in similarity:
-                depth_b = depth.get(b)
-                if depth_b is None:
-                    raise UnknownLabelError(b)
-                common = depth[self._lowest_in(ancestors, b)]
-                similarity[b] = 2.0 * common / (depth_a + depth_b)
-        return list(map(similarity.__getitem__, labels))
+        depth, first, last = self._depth, self._first, self._last
+        # The lowest common ancestor of a and b is the deepest of a and its
+        # ancestors below the root whose subtree holds b. Their first
+        # positions and their (last + 1) positions, all in ascending order,
+        # put i of them at or before b's position: i is that ancestor's depth,
+        # or twice a's depth less it when b comes after a's subtree.
+        starts, ends = [], []
+        node = a
+        while node != self._root:
+            starts.append(first[node])
+            ends.append(last[node] + 1)
+            node = self._parent[node]
+        bounds = starts[::-1] + ends
+        depth_a = len(starts)
+
+        def similarity(b: str) -> float:
+            depth_b = depth.get(b)
+            if depth_b is None:
+                raise UnknownLabelError(b)
+            if b == a:
+                return 1.0
+            i = bisect_right(bounds, first[b])
+            return 2.0 * (i if i <= depth_a else 2 * depth_a - i) / (depth_a + depth_b)
+
+        return similarity

@@ -1,13 +1,17 @@
 """Shared hypothesis strategies for randomized case bases.
 
-Magnitudes and profile parameters are drawn as integers so that score
-comparisons against the naive reference stay bit-exact without having to
-reason about pathological floats. A descriptor id is either symbolic
-everywhere or has one fuzzy profile for the whole case base; every numeric
-descriptor has its id's profile and a magnitude inside the profile domain,
-unless the bundle is drawn with ``valid=False``: then some numerics have no
-profile and some lie outside their profile's domain, so ``validate`` may
-reject the case base.
+Profile domains are drawn from five families: the fixed domain
+``DOMAIN_LOWER..DOMAIN_UPPER`` with whole-number magnitudes, and negative,
+fractional, subnormal-wide and nearly ``sys.float_info.max``-wide ones with
+float magnitudes. Magnitudes land on a domain's bounds, on the next float
+inside each bound, and between them; prototypes and subset bounds stay
+inside the domain. The naive reference computes with the same expression
+shapes, so comparisons against it stay bit-exact. A descriptor id is either
+symbolic everywhere or has one fuzzy profile for the whole case base; every
+numeric descriptor has its id's profile and a magnitude inside the profile
+domain, unless the bundle is drawn with ``valid=False``: then some numerics
+have no profile and some lie just outside their profile's domain, so
+``validate`` may reject the case base.
 
 Schemas reach forty ids while a case records at most twelve, and usually a
 handful. Three sources in four record some of the target's ids, so almost
@@ -23,6 +27,7 @@ any JSON value, strings drawn from all of Unicode, or one key deleted.
 from __future__ import annotations
 
 import copy
+import math
 import sys
 from typing import Any, Iterator
 
@@ -45,6 +50,41 @@ from cbrdiag import (
 
 DOMAIN_LOWER = 0.0
 DOMAIN_UPPER = 100.0
+_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)  # the smallest subnormal
+
+
+def _domains() -> st.SearchStrategy[tuple[float, float]]:
+    """Profile domains (lower, upper), lower < upper, with a finite span."""
+    return st.one_of(
+        st.just((DOMAIN_LOWER, DOMAIN_UPPER)),
+        # negative
+        st.tuples(st.integers(-1000, -2), st.integers(1, 999)).map(
+            lambda lw: (float(lw[0]), float(min(lw[0] + lw[1], -1)))
+        ),
+        # fractional
+        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2, unique=True).map(sorted).map(tuple),
+        # subnormal-wide: a few multiples of the smallest subnormal
+        st.tuples(st.integers(-50, 50), st.integers(1, 100)).map(lambda lw: (lw[0] * _TINY, (lw[0] + lw[1]) * _TINY)),
+        # nearly as wide as the largest finite float
+        st.sampled_from([(0.0, _MAX), (-_MAX, 0.0), (-_MAX / 2, _MAX / 2), (-_MAX, -_MAX / 2)]),
+    )
+
+
+def magnitudes(lower: float = DOMAIN_LOWER, upper: float = DOMAIN_UPPER) -> st.SearchStrategy[float]:
+    """Magnitudes in [lower, upper]: its bounds, the next float inside each
+    bound, and values between; whole numbers in the fixed domain."""
+    if (lower, upper) == (DOMAIN_LOWER, DOMAIN_UPPER):
+        between = st.integers(min_value=0, max_value=100).map(float)
+    else:
+        between = st.floats(min_value=lower, max_value=upper)
+    edges = [lower, math.nextafter(lower, upper), math.nextafter(upper, lower), upper]
+    return st.one_of(st.sampled_from(edges), between)
+
+
+def profile_magnitudes(profile: FuzzyProfile) -> st.SearchStrategy[float]:
+    """:func:`magnitudes` of a profile's domain."""
+    return magnitudes(profile.domain_lower, profile.domain_upper)
 
 
 @st.composite
@@ -59,29 +99,26 @@ def taxonomies(draw) -> Taxonomy:
 
 @st.composite
 def fuzzy_profiles(draw, descriptor_id: str) -> FuzzyProfile:
-    prototype = draw(st.integers(min_value=10, max_value=90))
-    half_width = draw(st.integers(min_value=5, max_value=50))
+    lower, upper = draw(_domains())
+    if (lower, upper) == (DOMAIN_LOWER, DOMAIN_UPPER):
+        prototype = float(draw(st.integers(min_value=10, max_value=90)))
+        half_width = float(draw(st.integers(min_value=5, max_value=50)))
+    else:
+        prototype = draw(magnitudes(lower, upper))
+        half_width = (upper - lower) / draw(st.sampled_from([1, 2, 4, 10]))
+        half_width = half_width if half_width > 0 else _TINY
     subset_count = draw(st.integers(min_value=0, max_value=3))
-    bounds = sorted(
-        draw(
-            st.lists(
-                st.integers(min_value=0, max_value=100),
-                min_size=2 * subset_count,
-                max_size=2 * subset_count,
-                unique=True,
-            )
-        )
-    )
+    # A narrow subnormal domain may hold too few floats for every subset.
+    bounds = sorted(draw(st.lists(magnitudes(lower, upper), max_size=2 * subset_count, unique=True)))
     subsets = [
-        FuzzySubset(label=f"S{i}", lower=float(bounds[2 * i]), upper=float(bounds[2 * i + 1]))
-        for i in range(subset_count)
+        FuzzySubset(label=f"S{i}", lower=bounds[2 * i], upper=bounds[2 * i + 1]) for i in range(len(bounds) // 2)
     ]
     return FuzzyProfile(
         descriptor_id=descriptor_id,
-        domain_lower=DOMAIN_LOWER,
-        domain_upper=DOMAIN_UPPER,
-        prototype=float(prototype),
-        half_width=float(half_width),
+        domain_lower=lower,
+        domain_upper=upper,
+        prototype=prototype,
+        half_width=half_width,
         subsets=subsets,
     )
 
@@ -116,8 +153,14 @@ def descriptors(
         numeric = not valid and draw(st.sampled_from([False, False, False, True]))
     if numeric:
         unit = draw(st.sampled_from(["u", "u", "u", "v"]))
-        lowest, highest = (0, 100) if valid else (-10, 110)
-        value = NumericValue(magnitude=float(draw(st.integers(lowest, highest))), unit=unit)
+        lower, upper = (DOMAIN_LOWER, DOMAIN_UPPER) if profile is None else (profile.domain_lower, profile.domain_upper)
+        if not valid and draw(st.integers(0, 5)) == 0:
+            # A finite magnitude just outside the domain.
+            outside = (math.nextafter(lower, -math.inf), math.nextafter(upper, math.inf))
+            magnitude = draw(st.sampled_from([x for x in outside if math.isfinite(x)]))
+        else:
+            magnitude = draw(magnitudes(lower, upper))
+        value = NumericValue(magnitude=magnitude, unit=unit)
         imprecise = allow_flags and draw(st.booleans())
     else:
         value = SymbolicValue(label=draw(st.sampled_from(taxonomy.nodes())))
@@ -198,10 +241,6 @@ def clean_cases(draw) -> tuple[CaseBase, Case]:
         cases("c", CaseKind.SOURCE, schema, taxonomy, min_descriptors=1, allow_flags=False)
     )
     return CaseBase(taxonomy=taxonomy, profiles=profiles, cases={"c": case}), case
-
-
-def magnitudes() -> st.SearchStrategy[float]:
-    return st.integers(min_value=0, max_value=100).map(float)
 
 
 def top_ks() -> st.SearchStrategy[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbrdiag import (
@@ -39,7 +39,7 @@ from cbrdiag import (
     retrieve,
 )
 from naive_reference import naive_retrieve
-from strategies import case_bundles, clean_cases, fuzzy_profiles, magnitudes, taxonomies
+from strategies import case_bundles, clean_cases, fuzzy_profiles, profile_magnitudes, taxonomies
 
 
 @contextlib.contextmanager
@@ -272,15 +272,17 @@ def _fuzzy_membership_symmetry(data):
         min(profile.prototype - profile.domain_lower, profile.domain_upper - profile.prototype)
     )
     delta = float(data.draw(st.integers(min_value=0, max_value=reach)))
-    assert membership(profile.prototype + delta, profile) == membership(
-        profile.prototype - delta, profile
-    )
+    above, below = profile.prototype + delta, profile.prototype - delta
+    # A float prototype plus or minus delta can round, and then the two
+    # readings are not equally far from it; whole numbers never round here.
+    assume(above - profile.prototype == delta == profile.prototype - below)
+    assert membership(above, profile) == membership(below, profile)
 
 
 @given(st.data())
 def _fuzzy_correction_idempotent(data):
     profile = data.draw(fuzzy_profiles("d"))
-    x = data.draw(magnitudes())
+    x = data.draw(profile_magnitudes(profile))
     once = correct_imprecise(x, profile)
     assert correct_imprecise(once, profile) == once
 
@@ -288,7 +290,7 @@ def _fuzzy_correction_idempotent(data):
 @given(st.data())
 def _fuzzy_domain_closure(data):
     profile = data.draw(fuzzy_profiles("d"))
-    x = data.draw(magnitudes())
+    x = data.draw(profile_magnitudes(profile))
     assert 0.0 <= membership(x, profile) <= 1.0
     assert profile.domain_lower <= correct_imprecise(x, profile) <= profile.domain_upper
 

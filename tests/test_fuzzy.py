@@ -14,7 +14,7 @@ from cbrdiag import (
     same_class,
 )
 from naive_reference import naive_classify
-from strategies import fuzzy_profiles, magnitudes
+from strategies import fuzzy_profiles, profile_magnitudes
 
 NAN = float("nan")
 
@@ -157,23 +157,24 @@ def test_nan_is_outside_every_domain(temperature):
         assert str(err.value) == "value nan for descriptor 'ds3' outside domain [0.0, 100.0]"
 
 
-@given(st.data(), magnitudes())
-def test_membership_bounded(data, x):
+@given(st.data())
+def test_membership_bounded(data):
     profile = data.draw(fuzzy_profiles("d"))
+    x = data.draw(profile_magnitudes(profile))
     assert 0.0 <= membership(x, profile) <= 1.0
 
 
-@given(st.data(), st.integers(min_value=0, max_value=100))
-def test_same_class_symmetric(data, y):
+@given(st.data())
+def test_same_class_symmetric(data):
     profile = data.draw(fuzzy_profiles("d"))
-    x = float(data.draw(st.integers(min_value=0, max_value=100)))
-    assert same_class(x, float(y), profile) == same_class(float(y), x, profile)
+    x, y = (data.draw(profile_magnitudes(profile)) for _ in range(2))
+    assert same_class(x, y, profile) == same_class(y, x, profile)
 
 
 @given(st.data())
 def test_same_class_transitive(data):
     profile = data.draw(fuzzy_profiles("d"))
-    x, y, z = (float(data.draw(st.integers(min_value=0, max_value=100))) for _ in range(3))
+    x, y, z = (data.draw(profile_magnitudes(profile)) for _ in range(3))
     if same_class(x, y, profile) and same_class(y, z, profile):
         assert same_class(x, z, profile)
 

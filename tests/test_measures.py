@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,6 +12,7 @@ from cbrdiag import (
     Case,
     CaseKind,
     Descriptor,
+    FuzzyProfile,
     ImperfectionFlags,
     LocalScores,
     MissingProfileError,
@@ -149,6 +152,41 @@ def test_phi_value_enhanced_numeric_requires_profile(engine_case_base):
 
 def ctx(case_base, mode: ScoringMode) -> ScoringContext:
     return ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+
+
+MAX = sys.float_info.max
+SUBNORMAL = math.ulp(0.0)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        (0.0, MAX),
+        (-MAX, 0.0),
+        (-MAX / 2, MAX / 2),
+        (0.0, SUBNORMAL),
+        (-SUBNORMAL, SUBNORMAL),
+        (-1000.0, -10.0),
+        (0.25, 0.75),
+    ],
+)
+def test_typical_closeness_at_domain_extremes(lower, upper):
+    # The bounds are a span apart and score exactly +0.0; equal magnitudes
+    # score 1.0, on the bounds and one float inside them.
+    profile = FuzzyProfile("d", lower, upper, prototype=lower, half_width=upper - lower)
+    ctx = ScoringContext(taxonomy=TINY, profiles={"d": profile}, mode=ScoringMode.TYPICAL)
+
+    def closeness(x: float, y: float) -> float:
+        t = Case(id="t", kind=CaseKind.TARGET, descriptors={"d": num("d", x)})
+        s = Case(id="s", kind=CaseKind.SOURCE, descriptors={"d": num("d", y)})
+        (row,) = retrieval_measure(t, s, ctx).breakdown
+        return row.phi_value
+
+    for x, y in ((lower, upper), (upper, lower)):
+        assert math.copysign(1.0, closeness(x, y)) == 1.0
+        assert closeness(x, y) == 0.0
+    for x in (lower, math.nextafter(lower, upper), math.nextafter(upper, lower), upper):
+        assert closeness(x, x) == 1.0
 
 
 def test_retrieval_fixture_source1_typical(engine_case_base):
