@@ -15,28 +15,33 @@ Scoring runs over per-descriptor records rather than descriptors: the kind,
 label or magnitude, unit, casefolded state, operating mode, uncertain flag,
 and the fuzzy subset of a profiled in-domain numeric. A case base compiles
 its sources into records once; a target is compiled per query, and each of
-its records gets one value function, which states the value rules for every
-pair of that record, once for ranking and breakdowns alike. One
-kernel builds every breakdown row: it walks the target's records against a
-list of sources and builds, per source, the retrieval rows, the adaptation
-rows of :mod:`cbrdiag.adaptation`, or both, from one value per pair. A
-pair's value comes from the value function, or from :func:`phi_value` on
-the real descriptors when either record is one no value function can score.
+its records gets its value rules as two functions built side by side from
+the same constants: a value function for one pair, and an adder for a whole
+posting list. One kernel builds every breakdown row: it walks the target's
+records against a list of sources and builds, per source, the retrieval
+rows, the adaptation rows of :mod:`cbrdiag.adaptation`, or both, from one
+value per pair. A pair's value comes from the value function, or from
+:func:`phi_value` on the real descriptors when either record is one no
+value function can score.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
 mode only when neither value is uncertain. So the compiled base keeps
 posting lists of source records keyed by (descriptor id, state, mode,
-uncertain flag), each record carrying its source's position. Each target
-descriptor adds its value function's value of every record of a list to
-per-source numerators as it walks the list: the one certain list that
-matches it in enhanced mode, and the certain and the uncertain one in
-typical mode. The denominator counts co-present descriptors, certain ones
-in enhanced mode, as the bits two descriptor-id masks share. The kernel then
-builds the rows of the returned sources in one call, with the same value
-functions. A base or target holding a record no value function can score
-(only an unvalidated one does) is scored source by source with the kernel
-instead, so it raises where and what the kernel raises.
+uncertain flag), each record carrying its source's position. The first
+query that reads a list turns it into columns: per kind, the source
+positions and the fields the value rules read (the label's pre-order
+position and depth in the taxonomy; magnitude, unit and subset). Each
+target descriptor's adder walks the columns of the one certain list that
+matches it in enhanced mode, and of the certain and the uncertain one in
+typical mode, in one loop, and adds each value that is not 0 to its
+source's numerator. Labels compare by one bisection of the target label's
+ancestor bounds per record. The denominator counts co-present descriptors,
+certain ones in enhanced mode, as the bits two descriptor-id masks share.
+The kernel then builds the rows of the returned sources in one call, with
+the value functions. A base or target holding a record no value function
+can score (only an unvalidated one does) is scored source by source with
+the kernel instead, so it raises where and what the kernel raises.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import heapq
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -201,48 +207,107 @@ def _record(
     return (_OTHER, None, None, state, om, uncertain, None, position)
 
 
-def _valuer(t: tuple, profile: Optional[FuzzyProfile], enhanced: bool, taxonomy: Taxonomy) -> Optional[Callable]:
-    """The value function of a target record: the value factor of the record
-    and a source record, neither ``_OTHER``, as :func:`phi_value` gives it
-    for their descriptors. None for an ``_OTHER`` target record.
+def _columns(records: list[tuple], taxonomy: Taxonomy) -> tuple[tuple, tuple]:
+    """A posting list's records as the columns its adders read: the
+    symbolic records' source positions and their labels' pre-order
+    positions and depths (:meth:`Taxonomy._coordinates`), and the numeric
+    records' source positions, magnitudes, units and subset labels. Each is
+    a tuple of columns, empty when no record is of its kind."""
+    coordinates = taxonomy._coordinates
+    symbolic = [(s[7], *coordinates(s[1])) for s in records if s[0] is _SYMBOLIC]
+    numeric = [(s[7], s[1], s[2], s[6]) for s in records if s[0] is _NUMERIC]
+    return tuple(zip(*symbolic)), tuple(zip(*numeric))
 
-    Kinds and units must match (symbolic records carry no unit). Labels take
-    the taxonomy's similarity. Equal magnitudes score 1; otherwise enhanced
-    mode compares fuzzy subsets and typical mode takes the linear closeness
-    over the domain span.
+
+def _valuer(
+    t: tuple, profile: Optional[FuzzyProfile], enhanced: bool, taxonomy: Taxonomy
+) -> tuple[Optional[Callable], Optional[Callable]]:
+    """The value rules of a target record, as two functions built from the
+    same constants: the value function, the value factor of the record and a
+    source record, neither ``_OTHER``, as :func:`phi_value` gives it for
+    their descriptors; and the adder, which adds to ``numerators`` the value
+    of every record of a posting list's columns (:func:`_columns`) whose
+    value is not 0, at the record's source position. Both None for an
+    ``_OTHER`` target record.
+
+    Kinds must match, and units for numerics. Labels take the taxonomy's
+    similarity from their coordinates: 1 for equal labels, otherwise twice
+    the depth of their lowest common ancestor (:meth:`Taxonomy._ancestry`)
+    over the sum of their depths, which is 1 for equal labels below the
+    root too, so the adder tests equality only at the root. Equal
+    magnitudes score 1; otherwise enhanced mode compares fuzzy subsets and
+    typical mode takes the linear closeness over the domain span.
     """
     kind, key, unit, _, _, _, subset, _ = t
     if kind is _SYMBOLIC:
-        similarity = taxonomy._similarity(key)
-        return lambda s: similarity(s[1]) if s[0] is _SYMBOLIC else 0.0
+        coordinates = taxonomy._coordinates
+        first, depth = coordinates(key)
+        bounds, twice = taxonomy._ancestry(key)
+
+        def add(columns: tuple, numerators: defaultdict) -> None:
+            bisect = bisect_right
+            for p, f, d in zip(*columns[0]):
+                shared = twice[bisect(bounds, f)]
+                if shared:
+                    numerators[p] += shared / (depth + d)
+                elif f == first:  # the root, the one label that shares depth 0 with itself
+                    numerators[p] += 1.0
+
+        def value(s: tuple) -> float:
+            if s[0] is not _SYMBOLIC:
+                return 0.0
+            if s[1] == key:
+                return 1.0
+            f, d = coordinates(s[1])
+            return twice[bisect_right(bounds, f)] / (depth + d)
+
+        return value, add
     if kind is not _NUMERIC:
-        return None
+        return None, None
     if enhanced:
-        return lambda s: (
-            1.0
-            if s[0] is _NUMERIC and s[2] == unit and (s[1] == key or subset is not None and s[6] == subset)
-            else 0.0
-        )
+
+        def add(columns: tuple, numerators: defaultdict) -> None:
+            for p, m, u, c in zip(*columns[1]):
+                if u == unit and (m == key or subset is not None and c == subset):
+                    numerators[p] += 1.0
+
+        return (
+            lambda s: (
+                1.0
+                if s[0] is _NUMERIC and s[2] == unit and (s[1] == key or subset is not None and s[6] == subset)
+                else 0.0
+            )
+        ), add
     # No clamp, unlike _linear_closeness: both magnitudes are finite and in
     # the domain, so |x - y| <= span holds after rounding too (rounding is
     # monotone), and the span is finite. It is 0 only for a one-point domain,
     # whose magnitudes are all equal.
     span = profile.domain_upper - profile.domain_lower
-    return lambda s: (
-        (1.0 if s[1] == key else 1.0 - abs(key - s[1]) / span) if s[0] is _NUMERIC and s[2] == unit else 0.0
-    )
+
+    def add(columns: tuple, numerators: defaultdict) -> None:
+        for p, m, u, _ in zip(*columns[1]):
+            if u == unit:
+                v = 1.0 if m == key else 1.0 - abs(key - m) / span
+                if v:
+                    numerators[p] += v
+
+    return (
+        lambda s: (
+            (1.0 if s[1] == key else 1.0 - abs(key - s[1]) / span) if s[0] is _NUMERIC and s[2] == unit else 0.0
+        )
+    ), add
 
 
 def _target_records(target: Case, ctx: ScoringContext, dids: Optional[Iterable[str]] = None) -> list[tuple]:
     """The target's records of ``dids`` (all its descriptors by default) in
-    id order, each led by its id and ending with its value function in
-    ``ctx.mode`` (:func:`_valuer`) in place of a source position."""
+    id order, each led by its id and ending with its value function and its
+    adder in ``ctx.mode`` (:func:`_valuer`) in place of a source position."""
     records = []
     enhanced = ctx.mode is ScoringMode.ENHANCED
     for did in sorted(target.descriptors if dids is None else dids):
         profile = ctx.profiles.get(did)
         record = _record(target.descriptors[did], ctx.taxonomy, profile)
-        records.append((did, *record[:-1], _valuer(record, profile, enhanced, ctx.taxonomy)))
+        records.append((did, *record[:-1], *_valuer(record, profile, enhanced, ctx.taxonomy)))
     return records
 
 
@@ -279,7 +344,7 @@ def _measure(
     adaptation_rows: list[list[AdaptationTerm]] = [[] for _ in sources]
     # Per source: the retrieval numerator and denominator and the adaptation numerator.
     sums = [[0.0, 0, 0.0] for _ in sources]
-    for did, _, _, _, t_state, t_om, t_uncertain, _, value in target_records:
+    for did, _, _, _, t_state, t_om, t_uncertain, _, value, _ in target_records:
         for i, (source, records) in enumerate(sources):
             s = records.get(did)
             if s is None:
@@ -349,7 +414,9 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
     - the posting lists: for each (descriptor id, casefolded state,
       operating-mode code, uncertain flag), the records of the sources that
       record that id with that state, mode and flag, in source order; each
-      record ends with its source's position;
+      record ends with its source's position. :func:`rank_sources` replaces
+      a list by its columns (:func:`_columns`) the first time it reads it,
+      so that a query pays only for the lists it reads;
     - one bit per descriptor id;
     - per scoring mode, one mask per source of the ids that count toward its
       denominator: its certain ids in enhanced mode, all of them in typical;
@@ -399,23 +466,25 @@ def rank_sources(
     each with the results of the row ``kinds`` the kernel gives them.
 
     Scores accumulate term-at-a-time: each of the target's descriptors, in id
-    order and leaving out uncertain ones in enhanced mode, walks the posting
-    lists of its id, state and mode and adds its value function's value of
-    each record to the numerator of the record's source. Enhanced mode reads
-    the list of certain source values only, typical mode also the uncertain
-    one, with the same function. A source is in at most one of these lists,
-    so it gets one addition per target descriptor, in target-id order,
-    whatever the order within a list: these are the additions the kernel
-    makes, in its order, less those of products that are 0. Each numerator
+    order and leaving out uncertain ones in enhanced mode, hands the columns
+    of the posting lists of its id, state and mode to its adder, which adds
+    the value of each record that is not 0 to the numerator of the record's
+    source. Enhanced mode reads the list of certain source values only,
+    typical mode also the uncertain one, with the same adder. A source is in
+    at most one of these lists, so it gets at most one addition per target
+    descriptor, in target-id order, whatever the order within a list: these
+    are the additions the kernel makes, in its order, less those of products
+    that are 0, which leave a sum that starts at 0.0 as it is. A source that
+    gets no addition scores 0 as one that shares nothing. Each numerator
     is divided by the number of bits the target's mask and the source's
     share. When the base or the target holds an ``_OTHER`` record, the kernel
     scores every source in id order instead, so that it raises what and
     where the kernel raises. Sources scoring 0 fill the places left after the
     positive scores, in id order, and a ``top_k`` past the number of sources
     returns them all. Only the returned sources get rows, from one kernel
-    call with the same value functions; or, after the kernel scored every
-    source, from one call per source in ranking order, so that an error an
-    adaptation row raises is the first ranked source's.
+    call with the value functions built beside the adders; or, after the
+    kernel scored every source, from one call per source in ranking order,
+    so that an error an adaptation row raises is the first ranked source's.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
@@ -429,13 +498,18 @@ def rank_sources(
         numerators: defaultdict[int, float] = defaultdict(float)
         target_mask = 0
         uncertain_flags = (False,) if enhanced else (False, True)
-        for did, _, _, _, t_state, t_om, t_uncertain, _, value in records:
+        for did, _, _, _, t_state, t_om, t_uncertain, _, _, add in records:
             if enhanced and t_uncertain:
                 continue
             target_mask |= bits.get(did, 0)
             for uncertain in uncertain_flags:
-                for s in postings.get((did, t_state, t_om, uncertain), ()):
-                    numerators[s[7]] += value(s)
+                key = did, t_state, t_om, uncertain
+                columns = postings.get(key)
+                if type(columns) is list:
+                    # Read for the first time: its columns take its place.
+                    columns = postings[key] = _columns(columns, ctx.taxonomy)
+                if columns is not None:
+                    add(columns, numerators)
         source_masks = masks[mode]
         scores = {i: numerators[i] / (target_mask & source_masks[i]).bit_count() for i in sorted(numerators)}
     top_k = min(top_k, len(sources))

@@ -111,20 +111,9 @@ class Taxonomy:
     def _similarity(self, a: str) -> Callable[[str], float]:
         """The :meth:`value_similarity` of ``a`` and a label, as a function."""
         self._require(a)
-        depth, first, last = self._depth, self._first, self._last
-        # The lowest common ancestor of a and b is the deepest of a and its
-        # ancestors below the root whose subtree holds b. Their first
-        # positions and their (last + 1) positions, all in ascending order,
-        # put i of them at or before b's position: i is that ancestor's depth,
-        # or twice a's depth less it when b comes after a's subtree.
-        starts, ends = [], []
-        node = a
-        while node != self._root:
-            starts.append(first[node])
-            ends.append(last[node] + 1)
-            node = self._parent[node]
-        bounds = starts[::-1] + ends
-        depth_a = len(starts)
+        depth, first = self._depth, self._first
+        bounds, twice = self._ancestry(a)
+        depth_a = depth[a]
 
         def similarity(b: str) -> float:
             depth_b = depth.get(b)
@@ -132,7 +121,34 @@ class Taxonomy:
                 raise UnknownLabelError(b)
             if b == a:
                 return 1.0
-            i = bisect_right(bounds, first[b])
-            return 2.0 * (i if i <= depth_a else 2 * depth_a - i) / (depth_a + depth_b)
+            return twice[bisect_right(bounds, first[b])] / (depth_a + depth_b)
 
         return similarity
+
+    def _coordinates(self, name: str) -> tuple[int, int]:
+        """The pre-order position and the depth of a label in the tree: with
+        :meth:`_ancestry` of a label ``a`` they give the similarity of ``a``
+        and this label."""
+        return self._first[name], self._depth[name]
+
+    def _ancestry(self, a: str) -> tuple[list[int], list[float]]:
+        """``(bounds, twice)`` for a label ``a`` in the tree: for a label at
+        pre-order position ``p``, ``twice[bisect_right(bounds, p)]`` is twice
+        the depth of its lowest common ancestor with ``a``, as a float, the
+        numerator of their similarity when they differ.
+
+        That ancestor is the deepest of ``a`` and its ancestors below the
+        root whose subtree holds the label. Their first positions and their
+        (last + 1) positions, all in ascending order, are the bounds: ``i``
+        of them lie at or before ``p``, and ``i`` is that ancestor's depth,
+        or twice ``a``'s depth less it when ``p`` comes after ``a``'s subtree.
+        """
+        first, last = self._first, self._last
+        starts, ends = [], []
+        node = a
+        while node != self._root:
+            starts.append(first[node])
+            ends.append(last[node] + 1)
+            node = self._parent[node]
+        twice = [2.0 * i for i in range(len(starts) + 1)]
+        return starts[::-1] + ends, twice + twice[-2::-1]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,7 @@ from cbrdiag import (
     Taxonomy,
     retrieval_measure,
 )
-from cbrdiag.measures import phi_value
+from cbrdiag.measures import _OTHER, _columns, _compiled_sources, _target_records, phi_value
 from strategies import case_bundles, clean_cases
 
 
@@ -250,3 +251,31 @@ def test_breakdown_products_consistent(bundle):
         result = retrieval_measure(target, source, ctx(case_base, ScoringMode.ENHANCED))
         for row in result.breakdown:
             assert row.product == row.phi_value * row.phi_state * row.phi_presence * row.phi_om
+
+
+@given(case_bundles(min_sources=1))
+def test_adders_add_each_pairs_phi_value(bundle):
+    # Every posting list a target reads, as rank_sources reads it: the adder
+    # adds exactly phi_value of each pair to its source and leaves out only
+    # pairs whose value is 0; the value function gives the same values.
+    case_base, target = bundle
+    sources, postings, _, _, has_other = _compiled_sources(case_base)
+    assert not has_other  # a validated base
+    for mode in ScoringMode:
+        for did, kind, _, _, state, om, uncertain, _, value, add in _target_records(target, ctx(case_base, mode)):
+            assert kind is not _OTHER
+            if mode is ScoringMode.ENHANCED and uncertain:
+                continue
+            for flag in (False,) if mode is ScoringMode.ENHANCED else (False, True):
+                records = postings.get((did, state, om, flag), [])
+                numerators = defaultdict(float)
+                add(_columns(records, case_base.taxonomy), numerators)
+                expected = {}
+                for s in records:
+                    source = sources[s[7]][0]
+                    pair = AlignmentPair(did, target.descriptors[did], source.descriptors[did])
+                    phi = phi_value(pair, case_base.taxonomy, case_base.profiles.get(did), mode)
+                    assert value(s).hex() == phi.hex()
+                    if phi != 0:
+                        expected[s[7]] = phi.hex()
+                assert {p: v.hex() for p, v in numerators.items()} == expected

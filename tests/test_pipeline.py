@@ -603,11 +603,34 @@ def test_nan_target_magnitude_scores_0_in_typical_retrieve(engine_case_base):
 
 
 # Posting-list layouts. The target records "a" (symbolic) and "m" (symbolic,
-# uncertain) in state "On", and "n" (numeric in "u") with no state. Each
-# layout puts source records under the keys the target reads: certain and
-# uncertain ones under one (id, state, mode), records of the other kind, and
-# numerics in another unit.
+# uncertain) in state "On", and "n" (numeric in "u") with no state, unless
+# _LAYOUT_TARGETS gives a layout its own. Each layout puts source records
+# under the keys the target reads: certain and uncertain ones under one (id,
+# state, mode), records of the other kind, numerics in another unit, labels
+# related to the target's in every way at several depths, and numerics that
+# fall in no fuzzy subset ("z" has a profile without subsets).
 _LAYOUT_TARGET = (_sym("a", "a1"), _sym("m", "b", uncertain=True), _numeric("n", 20.0, "u"))
+_LAYOUT_TARGETS = {
+    "root-label": (_sym("a", "root"), _sym("m", "b", uncertain=True), _numeric("n", 20.0, "u")),
+    "label-relations": (_sym("a", "a11"), _sym("m", "b", uncertain=True), _numeric("n", 20.0, "u")),
+    "magnitude-without-subset": (_sym("a", "a1"), _numeric("z", 50.0, "u")),
+}
+# The index taxonomy grown to depth 4 under "a" and to depth 2 under "b".
+_LAYOUT_TAXONOMY = Taxonomy(
+    [
+        ("root", None),
+        ("a", "root"),
+        ("a1", "a"),
+        ("a11", "a1"),
+        ("a111", "a11"),
+        ("a12", "a1"),
+        ("a2", "a"),
+        ("a21", "a2"),
+        ("a211", "a21"),
+        ("b", "root"),
+        ("b1", "b"),
+    ]
+)
 _LAYOUTS = {
     "certain-and-uncertain": [
         (_sym("a", "a2"), _sym("m", "b")),
@@ -628,6 +651,46 @@ _LAYOUTS = {
         (_numeric("n", 60.0, "v"), _sym("a", "a1")),
         (_numeric("n", 90.0, "u"),),
     ],
+    "root-label": [
+        (_sym("a", "a1"), _sym("m", "root")),
+        (_sym("a", "root"),),
+        (_sym("a", "b1"), _numeric("n", 20.0, "u")),
+        (_sym("a", "root", uncertain=True), _sym("m", "b")),
+        (_sym("a", "a111"),),
+    ],
+    "label-relations": [
+        (_sym("a", "a11"),),  # equal
+        (_sym("a", "a1"), _sym("m", "b1")),  # ancestor; descendant of "b"
+        (_sym("a", "a"), _sym("m", "b")),  # ancestor; equal
+        (_sym("a", "root"), _sym("m", "root")),  # the root on both
+        (_sym("a", "a111"), _sym("m", "a")),  # descendant; other branch
+        (_sym("a", "a12"),),  # sibling
+        (_sym("a", "a211"), _sym("m", "b1", uncertain=True)),  # cousin, deeper
+        (_sym("a", "a2"), _sym("m", "a21")),  # cousin, shallower
+        (_sym("a", "b1"),),  # other branch
+        (_sym("a", "a11", state="Off"),),  # equal, in another list
+    ],
+    "magnitude-without-subset": [
+        (_numeric("z", 50.0, "v"),),
+        (_numeric("z", 50.0, "u"),),
+        (_numeric("z", 55.0, "u"), _sym("a", "a1", uncertain=True)),
+        (_sym("z", "a1"), _numeric("a", 50.0, "u")),
+        (_numeric("z", 0.0, "u"), _sym("a", "a2")),
+        (replace(_numeric("z", 50.0, "u"), flags=ImperfectionFlags(uncertain=True)),),
+    ],
+    # Both kinds under one (id, state, mode), interleaved, certain and uncertain.
+    "both-kinds": [
+        (replace(_sym("n", "a1"), state=None), replace(_numeric("a", 40.0, "u"), state="On")),
+        (_numeric("n", 25.0, "u"), _sym("a", "a11")),
+        (replace(_sym("n", "root"), state=None), replace(_numeric("a", 10.0, "u"), state="On")),
+        (replace(_numeric("n", 20.0, "u"), flags=ImperfectionFlags(uncertain=True)), _sym("a", "a1", uncertain=True)),
+        (
+            replace(_sym("n", "b", uncertain=True), state=None),
+            replace(_numeric("a", 20.0, "u"), state="On", flags=ImperfectionFlags(uncertain=True)),
+        ),
+        (_numeric("n", 90.0, "u"), _sym("a", "b1")),
+        (replace(_sym("n", "a1", uncertain=True), state=None), _sym("a", "a", uncertain=True)),
+    ],
 }
 
 
@@ -635,10 +698,14 @@ _LAYOUTS = {
 @pytest.mark.parametrize("mode", list(ScoringMode))
 def test_posting_layouts_match_naive_reference(mode, layout):
     sources = [_index_case(f"p{i}", CaseKind.SOURCE, *ds) for i, ds in enumerate(_LAYOUTS[layout])]
-    target = _index_case("t", CaseKind.TARGET, *_LAYOUT_TARGET)
-    profiles = {"n": _INDEX_PROFILE, "a": replace(_INDEX_PROFILE, descriptor_id="a")}
+    target = _index_case("t", CaseKind.TARGET, *_LAYOUT_TARGETS.get(layout, _LAYOUT_TARGET))
+    profiles = {
+        "n": _INDEX_PROFILE,
+        "a": replace(_INDEX_PROFILE, descriptor_id="a"),
+        "z": replace(_INDEX_PROFILE, descriptor_id="z", subsets=[]),
+    }
     case_base = CaseBase(
-        taxonomy=_INDEX_TAXONOMY, profiles=profiles, cases={c.id: c for c in [*sources, target]}
+        taxonomy=_LAYOUT_TAXONOMY, profiles=profiles, cases={c.id: c for c in [*sources, target]}
     )
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     for top_k in (1, 2, len(sources) + 3):
