@@ -12,8 +12,9 @@ a value from similarity, not from pointing at a failing component.
 
 The adaptation rows come from the scoring kernel of :mod:`cbrdiag.measures`,
 which defines the result types and the weight rule re-exported here.
-:func:`~cbrdiag.pipeline.diagnose` has the kernel build them in the pass that
-builds the retrieval rows of the returned sources, from one value per pair.
+:func:`~cbrdiag.pipeline.diagnose` has the kernel build each returned
+source's adaptation rows in the call that builds its retrieval rows, from
+one value per pair.
 """
 
 from __future__ import annotations

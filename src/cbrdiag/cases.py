@@ -149,13 +149,15 @@ class CaseBase:
     operating mode, and per source a bitmask of its descriptor ids (one of
     all of them, one of its certain ones), and keeps them all. A query adds
     up its scores from the posting lists that match its target's
-    descriptors, since a pair whose state or mode disagrees adds 0, then
-    reads the returned sources' records once more for their breakdown rows;
-    a base or target holding a value that validation would reject is scored
-    source by source instead. Neither the case base nor the mappings it holds may
-    be mutated afterwards; build a new one instead (``dataclasses.replace``
-    starts with nothing compiled). Concurrent first queries may both
-    compile, which is harmless: either result serves.
+    descriptors, since a pair whose state or mode disagrees adds 0; a base
+    or target holding a value that validation would reject is scored source
+    by source instead. Either way each returned source's records are read
+    once more, one source at a time, for its breakdown rows. Neither the
+    case base nor the mappings it holds may be mutated afterwards; build a
+    new one instead (``dataclasses.replace`` starts with nothing compiled).
+    Concurrent first queries may both compile, and concurrent first reads of
+    a posting list may both build its columns, which is harmless: either
+    result serves.
     """
 
     taxonomy: "Taxonomy"

@@ -17,10 +17,10 @@ and the fuzzy subset of a profiled in-domain numeric. A case base compiles
 its sources into records once; a target is compiled per query, and each of
 its records gets its value rules as two functions built side by side from
 the same constants: a value function for one pair, and an adder for a whole
-posting list. One kernel builds every breakdown row: it walks the target's
-records against a list of sources and builds, per source, the retrieval
-rows, the adaptation rows of :mod:`cbrdiag.adaptation`, or both, from one
-value per pair. A pair's value comes from the value function, or from
+posting list. One kernel scores one source: it walks the target's records
+against the source's, and builds the source's retrieval rows, the
+adaptation rows of :mod:`cbrdiag.adaptation`, or both, from one value per
+pair. A pair's value comes from the value function, or from
 :func:`phi_value` on the real descriptors when either record is one no
 value function can score.
 
@@ -38,10 +38,10 @@ typical mode, in one loop, and adds each value that is not 0 to its
 source's numerator. Labels compare by one bisection of the target label's
 ancestor bounds per record. The denominator counts co-present descriptors,
 certain ones in enhanced mode, as the bits two descriptor-id masks share.
-The kernel then builds the rows of the returned sources in one call, with
-the value functions. A base or target holding a record no value function
-can score (only an unvalidated one does) is scored source by source with
-the kernel instead, so it raises where and what the kernel raises.
+A base or target holding a record no value function can score (only an
+unvalidated one does) is ranked by the kernel instead, source by source,
+so it raises where and what the kernel raises. Either way, each returned
+source then gets its rows from one kernel call, in ranking order.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import sys
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, OperatingMode, SymbolicValue
 from .cases import _collector_paused
@@ -300,14 +300,15 @@ def _valuer(
 
 def _target_records(target: Case, ctx: ScoringContext, dids: Optional[Iterable[str]] = None) -> list[tuple]:
     """The target's records of ``dids`` (all its descriptors by default) in
-    id order, each led by its id and ending with its value function and its
-    adder in ``ctx.mode`` (:func:`_valuer`) in place of a source position."""
+    id order, each as (id, casefolded state, operating-mode code, uncertain
+    flag, value function, adder), the last two in ``ctx.mode``
+    (:func:`_valuer`) and None for an ``_OTHER`` record."""
     records = []
     enhanced = ctx.mode is ScoringMode.ENHANCED
     for did in sorted(target.descriptors if dids is None else dids):
         profile = ctx.profiles.get(did)
         record = _record(target.descriptors[did], ctx.taxonomy, profile)
-        records.append((did, *record[:-1], *_valuer(record, profile, enhanced, ctx.taxonomy)))
+        records.append((did, *record[3:6], *_valuer(record, profile, enhanced, ctx.taxonomy)))
     return records
 
 
@@ -319,19 +320,20 @@ _ADAPTATION = 2
 def _measure(
     target: Case,
     target_records: list[tuple],
-    sources: Sequence[tuple[Case, Mapping[str, tuple]]],
+    source: Case,
+    records: Mapping[str, tuple],
     ctx: ScoringContext,
     kinds: int,
-) -> list[tuple[Optional[RetrievalResult], Optional[AdaptationResult]]]:
-    """The scoring kernel: per source, its retrieval result if ``kinds``
-    holds ``_RETRIEVAL`` and its adaptation result if it holds
-    ``_ADAPTATION``, from the target's records (as :func:`_target_records`
-    gives them) and each source's records by descriptor id.
+) -> tuple[Optional[RetrievalResult], Optional[AdaptationResult]]:
+    """The scoring kernel: the source's retrieval result if ``kinds`` holds
+    ``_RETRIEVAL`` and its adaptation result if it holds ``_ADAPTATION``,
+    from the target's records (as :func:`_target_records` gives them) and
+    the source's records by descriptor id.
 
-    It walks the target's records in id order, and each against the sources
-    that record its id. A pair takes its value from the target record's
-    value function, only if a requested row needs it: a retrieval row needs
-    the value of a pair present in ``ctx.mode``, an adaptation row that of a
+    It walks the target's records in id order, each against the source's
+    record of its id. A pair takes its value from the target record's value
+    function, only if a requested row needs it: a retrieval row needs the
+    value of a pair present in ``ctx.mode``, an adaptation row that of a
     pair whose operating modes are not both unspecified. Adaptation values
     are always enhanced, so adaptation rows are asked for only with an
     enhanced ``ctx``. An ``_OTHER`` record on either side sends its pair to
@@ -340,49 +342,44 @@ def _measure(
     """
     retrieval, adaptation = bool(kinds & _RETRIEVAL), bool(kinds & _ADAPTATION)
     enhanced = ctx.mode is ScoringMode.ENHANCED
-    retrieval_rows: list[list[LocalScores]] = [[] for _ in sources]
-    adaptation_rows: list[list[AdaptationTerm]] = [[] for _ in sources]
-    # Per source: the retrieval numerator and denominator and the adaptation numerator.
-    sums = [[0.0, 0, 0.0] for _ in sources]
-    for did, _, _, _, t_state, t_om, t_uncertain, _, value, _ in target_records:
-        for i, (source, records) in enumerate(sources):
-            s = records.get(did)
-            if s is None:
-                continue
-            # In enhanced mode an uncertain value on either side keeps the
-            # pair out of retrieval; doubt does not keep it out of adaptation.
-            present = retrieval and not (enhanced and (t_uncertain or s[5]))
-            adapted = adaptation and (t_om != _UNSPECIFIED or s[4] != _UNSPECIFIED)
-            if not (present or adapted):
-                phi = 0.0
-            elif value is None or s[0] is _OTHER:
-                pair = AlignmentPair(did, target.descriptors[did], source.descriptors[did])
-                phi = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
-            else:
-                phi = value(s)
-            if retrieval:
-                presence = 1 if present else 0
-                # States agree when both are absent or equal ignoring case.
-                state = 1 if t_state == s[3] else 0
-                # Modes must match exactly: a one-sided blank cannot certify agreement.
-                om = 1 if t_om == s[4] else 0
-                factor = phi if present else 0.0
-                product = factor * state * presence * om
-                retrieval_rows[i].append(LocalScores(did, factor, state, presence, om, product))
-                sums[i][0] += product
-                sums[i][1] += presence
-            if adapted:
-                weight = _weight(t_om, s[4])
-                term = weight * phi
-                adaptation_rows[i].append(AdaptationTerm(did, weight, 1, phi, term))
-                sums[i][2] += term
-    return [
-        (
-            RetrievalResult(numerator / denominator if denominator else 0.0, rows) if retrieval else None,
-            AdaptationResult(adapted_sum / len(terms) if terms else 0.0, terms) if adaptation else None,
-        )
-        for rows, terms, (numerator, denominator, adapted_sum) in zip(retrieval_rows, adaptation_rows, sums)
-    ]
+    rows: list[LocalScores] = []
+    terms: list[AdaptationTerm] = []
+    numerator, denominator, adapted_sum = 0.0, 0, 0.0
+    for did, t_state, t_om, t_uncertain, value, _ in target_records:
+        s = records.get(did)
+        if s is None:
+            continue
+        # In enhanced mode an uncertain value on either side keeps the
+        # pair out of retrieval; doubt does not keep it out of adaptation.
+        present = retrieval and not (enhanced and (t_uncertain or s[5]))
+        adapted = adaptation and (t_om != _UNSPECIFIED or s[4] != _UNSPECIFIED)
+        if not (present or adapted):
+            phi = 0.0
+        elif value is None or s[0] is _OTHER:
+            pair = AlignmentPair(did, target.descriptors[did], source.descriptors[did])
+            phi = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
+        else:
+            phi = value(s)
+        if retrieval:
+            presence = 1 if present else 0
+            # States agree when both are absent or equal ignoring case.
+            state = 1 if t_state == s[3] else 0
+            # Modes must match exactly: a one-sided blank cannot certify agreement.
+            om = 1 if t_om == s[4] else 0
+            factor = phi if present else 0.0
+            product = factor * state * presence * om
+            rows.append(LocalScores(did, factor, state, presence, om, product))
+            numerator += product
+            denominator += presence
+        if adapted:
+            weight = _weight(t_om, s[4])
+            term = weight * phi
+            terms.append(AdaptationTerm(did, weight, 1, phi, term))
+            adapted_sum += term
+    return (
+        RetrievalResult(numerator / denominator if denominator else 0.0, rows) if retrieval else None,
+        AdaptationResult(adapted_sum / len(terms) if terms else 0.0, terms) if adaptation else None,
+    )
 
 
 def _measure_one(target: Case, source: Case, ctx: ScoringContext, kinds: int) -> tuple:
@@ -390,7 +387,7 @@ def _measure_one(target: Case, source: Case, ctx: ScoringContext, kinds: int) ->
     record, the only ones it reads."""
     shared = target.descriptors.keys() & source.descriptors.keys()
     records = {did: _record(source.descriptors[did], ctx.taxonomy, ctx.profiles.get(did)) for did in shared}
-    return _measure(target, _target_records(target, ctx, shared), [(source, records)], ctx, kinds)[0]
+    return _measure(target, _target_records(target, ctx, shared), source, records, ctx, kinds)
 
 
 def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> RetrievalResult:
@@ -482,23 +479,20 @@ def rank_sources(
     where the kernel raises. Sources scoring 0 fill the places left after the
     positive scores, in id order, and a ``top_k`` past the number of sources
     returns them all. Only the returned sources get rows, from one kernel
-    call with the value functions built beside the adders; or, after the
-    kernel scored every source, from one call per source in ranking order,
-    so that an error an adaptation row raises is the first ranked source's.
+    call each in ranking order, so that an error an adaptation row raises
+    is the first ranked source's.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
     sources, postings, bits, masks, has_other = _compiled_sources(case_base)
     records = _target_records(target, ctx)
-    fallback = has_other or any(t[1] is _OTHER for t in records)
-    if fallback:
-        scored = (_measure(target, records, [source], ctx, _RETRIEVAL)[0][0] for source in sources)
-        scores = {i: result.score for i, result in enumerate(scored)}
+    if has_other or any(t[4] is None for t in records):
+        scores = {i: _measure(target, records, *source, ctx, _RETRIEVAL)[0].score for i, source in enumerate(sources)}
     else:
         numerators: defaultdict[int, float] = defaultdict(float)
         target_mask = 0
         uncertain_flags = (False,) if enhanced else (False, True)
-        for did, _, _, _, t_state, t_om, t_uncertain, _, _, add in records:
+        for did, t_state, t_om, t_uncertain, _, add in records:
             if enhanced and t_uncertain:
                 continue
             target_mask |= bits.get(did, 0)
@@ -519,6 +513,4 @@ def rank_sources(
         # Every other source scores 0: fill the places left in id order.
         positive = set(best)
         best += itertools.islice((i for i in range(len(sources)) if i not in positive), top_k - len(best))
-    groups = [[sources[i]] for i in best] if fallback else [[sources[i] for i in best]]
-    results = [result for group in groups for result in _measure(target, records, group, ctx, kinds)]
-    return [(sources[i][0], *result) for i, result in zip(best, results)]
+    return [(sources[i][0], *_measure(target, records, *sources[i], ctx, kinds)) for i in best]

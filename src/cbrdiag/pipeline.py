@@ -4,8 +4,8 @@ The full query runs in four steps: imprecise numeric descriptors of the
 target are corrected through their fuzzy profiles, retrieval scores every
 source (excluding uncertain descriptors), the top ranked cases get an
 adaptation score, and the case with the highest adaptation score is selected
-so its recorded solution can be proposed. The top ranked cases get their
-retrieval and adaptation breakdowns from one pass of the scoring kernel.
+so its recorded solution can be proposed. Each top ranked case gets its
+retrieval and adaptation breakdowns from one call of the scoring kernel.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _retrieve(
     """Retrieval as :func:`retrieve` runs it: the outcome with its ranking
     and correction log but no selection. With ``_ADAPTATION`` in ``kinds``
     (enhanced mode only), every ranked case also gets its adaptation score
-    and breakdown, from the pass that builds its retrieval breakdown."""
+    and breakdown, from the kernel call that builds its retrieval breakdown."""
     if top_k < 1:
         raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
     corrections: list[Correction] = []

@@ -25,7 +25,7 @@ from cbrdiag import (
     Taxonomy,
     retrieval_measure,
 )
-from cbrdiag.measures import _OTHER, _columns, _compiled_sources, _target_records, phi_value
+from cbrdiag.measures import _columns, _compiled_sources, _target_records, phi_value
 from strategies import case_bundles, clean_cases
 
 
@@ -262,8 +262,8 @@ def test_adders_add_each_pairs_phi_value(bundle):
     sources, postings, _, _, has_other = _compiled_sources(case_base)
     assert not has_other  # a validated base
     for mode in ScoringMode:
-        for did, kind, _, _, state, om, uncertain, _, value, add in _target_records(target, ctx(case_base, mode)):
-            assert kind is not _OTHER
+        for did, state, om, uncertain, value, add in _target_records(target, ctx(case_base, mode)):
+            assert value is not None
             if mode is ScoringMode.ENHANCED and uncertain:
                 continue
             for flag in (False,) if mode is ScoringMode.ENHANCED else (False, True):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -221,7 +224,7 @@ def test_diagnose_selection_matches_naive_reference(bundle):
     outcome = diagnose(target, case_base, top_k=5)
     assert outcome.selected_case_id == naive_select(target, case_base, top_k=5)
     # Every score and breakdown, not only the selection's winner: diagnose
-    # builds both kinds of rows in one pass over the ranked sources.
+    # builds both kinds of rows in one kernel call per ranked source.
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
     prepared = prepare_target(target, case_base.profiles)[0]
     naive_prepared = naive_prepare(target, case_base.profiles)
@@ -275,6 +278,43 @@ def test_validated_case_base_never_raises(bundle, top_k):
     for mode in ScoringMode:
         retrieve(target, decoded, mode, top_k)
     diagnose(target, decoded, top_k)
+
+
+def _hex_rows(rows: list) -> list[tuple]:
+    return [tuple(v.hex() if isinstance(v, float) else v for v in vars(row).values()) for row in rows]
+
+
+_UNSCORABLE = (UnknownLabelError, MissingProfileError, FuzzyDomainError)
+
+
+@given(case_bundles(valid=False), top_ks())
+def test_unvalidated_ranking_rows_match_the_measures(bundle, top_k):
+    # Bases and targets that validation may reject are ranked source by
+    # source; whenever a query returns, each ranked source's scores and rows
+    # are the public measures' on that source, as on a validated base.
+    case_base, target = bundle
+    for mode in ScoringMode:
+        try:
+            ranking = retrieve(target, case_base, mode, top_k)
+        except _UNSCORABLE:
+            continue
+        ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+        scored = prepare_target(target, case_base.profiles)[0] if mode is ScoringMode.ENHANCED else target
+        for sc in ranking:
+            result = retrieval_measure(scored, case_base.cases[sc.case_id], ctx)
+            assert (sc.m_r.hex(), _hex_rows(sc.breakdown_r)) == (result.score.hex(), _hex_rows(result.breakdown))
+    try:
+        outcome = diagnose(target, case_base, top_k)
+    except _UNSCORABLE:
+        return
+    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
+    prepared = prepare_target(target, case_base.profiles)[0]
+    for sc in outcome.ranking:
+        source = case_base.cases[sc.case_id]
+        retrieval = retrieval_measure(prepared, source, ctx)
+        adaptation = adaptation_measure(prepared, source, ctx)
+        assert (sc.m_r.hex(), _hex_rows(sc.breakdown_r)) == (retrieval.score.hex(), _hex_rows(retrieval.breakdown))
+        assert (sc.m_a.hex(), _hex_rows(sc.breakdown_a)) == (adaptation.score.hex(), _hex_rows(adaptation.breakdown))
 
 
 def _with_source_descriptor(case_base: CaseBase, source_id: str, descriptor: Descriptor) -> CaseBase:
@@ -715,3 +755,85 @@ def test_posting_layouts_match_naive_reference(mode, layout):
         for sc in engine:
             assert sc.breakdown_r == retrieval_measure(target, case_base.cases[sc.case_id], ctx).breakdown
     assert any(sc.m_r > 0 for sc in engine) and any(sc.m_r == 0 for sc in engine)
+
+
+def _threaded_case_base(seed: int) -> CaseBase:
+    # A seeded base of 300 sources over 16 descriptor ids, in four states,
+    # three operating modes and both uncertain flags, so that several
+    # hundred posting lists exist and none is compiled yet.
+    rng = random.Random(seed)
+    numeric_ids = ("n0", "n1", "n2", "n3")
+    profiles = {did: replace(_INDEX_PROFILE, descriptor_id=did) for did in numeric_ids}
+    ids = [f"d{i}" for i in range(12)] + list(numeric_ids)
+
+    def case(cid: str, kind: CaseKind) -> Case:
+        descriptors = []
+        for did in sorted(rng.sample(ids, 6)):
+            if did in profiles:
+                value = NumericValue(float(rng.randrange(0, 101, 5)), "u")
+                imprecise = kind is CaseKind.TARGET and rng.random() < 0.5
+            else:
+                value, imprecise = SymbolicValue(rng.choice(_LAYOUT_TAXONOMY.nodes())), False
+            descriptors.append(
+                Descriptor(
+                    id=did,
+                    name=did,
+                    value=value,
+                    state=rng.choice(["On", "on", "Off", None]),
+                    operating_mode=rng.choice(list(OperatingMode)),
+                    flags=ImperfectionFlags(imprecise=imprecise, uncertain=rng.random() < 0.25),
+                )
+            )
+        return _index_case(cid, kind, *descriptors)
+
+    cases = [case(f"s{i:03d}", CaseKind.SOURCE) for i in range(300)]
+    cases += [case(f"t{i}", CaseKind.TARGET) for i in range(8)]
+    return CaseBase(taxonomy=_LAYOUT_TAXONOMY, profiles=profiles, cases={c.id: c for c in cases})
+
+
+def _answers(case_base: CaseBase, targets: list[Case]) -> dict[str, tuple]:
+    # A dense_warm-style request per target: diagnose and its bytes, then a
+    # typical retrieve with every score and row as float.hex.
+    answers = {}
+    for target in targets:
+        outcome = encode_outcome(diagnose(target, case_base, 5))
+        ranking = retrieve(target, case_base, ScoringMode.TYPICAL, 5)
+        answers[target.id] = outcome, [(sc.case_id, sc.m_r.hex(), _hex_rows(sc.breakdown_r)) for sc in ranking]
+    return answers
+
+
+def test_concurrent_first_queries_answer_as_sequential_ones():
+    # Four threads start together on one base with nothing compiled, so that
+    # they compile it and build the columns of many posting lists at the
+    # same time; a race is rare in any one round, so each of 20 rounds
+    # takes a fresh base.
+    threads = 4
+    sequential = _threaded_case_base(16)
+    targets = sequential.targets()
+    expected = _answers(sequential, targets)
+    assert all(float.fromhex(ranking[0][1]) > 0 for _, ranking in expected.values())
+
+    def run(j: int) -> None:
+        try:
+            barrier.wait()
+            results[j] = _answers(case_base, targets)
+        except Exception as exc:  # compared below, so the failure shows it
+            results[j] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the first reads
+    try:
+        for _ in range(20):
+            case_base = _threaded_case_base(16)
+            barrier = threading.Barrier(threads, timeout=60)
+            results: list = [None] * threads
+            workers = [threading.Thread(target=run, args=(j,)) for j in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            for result in results:
+                assert result == expected
+    finally:
+        sys.setswitchinterval(interval)
