@@ -155,9 +155,9 @@ class CaseBase:
     once more, one source at a time, for its breakdown rows. Neither the
     case base nor the mappings it holds may be mutated afterwards; build a
     new one instead (``dataclasses.replace`` starts with nothing compiled).
-    Concurrent first queries may both compile, and concurrent first reads of
-    a posting list may both build its columns, which is harmless: either
-    result serves.
+    Concurrent first queries compile it once, under a lock; concurrent first
+    reads of a posting list may both build its columns, which is harmless:
+    either result serves.
     """
 
     taxonomy: "Taxonomy"

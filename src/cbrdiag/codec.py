@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring
@@ -117,34 +118,16 @@ def _bool(value: Any, path: str) -> bool:
     return value
 
 
-# Flat records encode as objects keyed by their dataclass field names. One
-# table per type, {json name: checker}, in field order, decodes them.
+# Flat records encode as objects keyed by their dataclass field names, their
+# own attribute dicts. One table per type, {json name: checker}, in field
+# order, decodes them; it is made from the type's own field declarations,
+# whose types are the strings "str", "float" and "int", since every module
+# that declares a row type imports annotations from __future__.
+_CHECKERS = {"str": _str, "float": _num, "int": _int}
 _FIELDS = {
-    Solution: {"failing_component": _str, "action": _str},
-    Correction: {"descriptor_id": _str, "original": _num, "corrected": _num},
-    FuzzySubset: {"label": _str, "lower": _num, "upper": _num},
-    LocalScores: {
-        "descriptor_id": _str,
-        "phi_value": _num,
-        "phi_state": _int,
-        "phi_presence": _int,
-        "phi_om": _int,
-        "product": _num,
-    },
-    AdaptationTerm: {
-        "descriptor_id": _str,
-        "weight": _int,
-        "phi_presence": _int,
-        "phi_value": _num,
-        "term": _num,
-    },
+    cls: {f.name: _CHECKERS[f.type] for f in fields(cls)}
+    for cls in (Solution, Correction, FuzzySubset, LocalScores, AdaptationTerm)
 }
-
-
-def _encode_row(row: Any) -> dict:
-    """A flat record as its document object, the record's own attribute
-    dict: the field names are the keys. Callers only read it."""
-    return vars(row)
 
 
 def _decode_row(cls: type, value: Any, path: str) -> Any:
@@ -443,7 +426,7 @@ def _encode_case(case: Case) -> dict:
         "id": case.id,
         "kind": case.kind.value,
         "descriptors": [_encode_descriptor(case.descriptors[did]) for did in sorted(case.descriptors)],
-        "solution": None if case.solution is None else _encode_row(case.solution),
+        "solution": None if case.solution is None else vars(case.solution),
     }
 
 
@@ -459,7 +442,7 @@ def encode_case_base(case_base: CaseBase) -> str:
             for name in case_base.taxonomy.nodes()
         ],
         "fuzzy_profiles": [
-            {**vars(p), "subsets": [_encode_row(s) for s in p.subsets]}
+            {**vars(p), "subsets": [vars(s) for s in p.subsets]}
             for _, p in sorted(case_base.profiles.items())
         ],
         "cases": [_encode_case(case_base.cases[cid]) for cid in sorted(case_base.cases)],
@@ -474,17 +457,17 @@ def encode_outcome(outcome: DiagnosisOutcome) -> str:
         "format_version": FORMAT_VERSION,
         "mode": outcome.mode.value,
         "selected_case_id": outcome.selected_case_id,
-        "solution": None if outcome.solution is None else _encode_row(outcome.solution),
-        "corrections_applied": [_encode_row(c) for c in outcome.corrections_applied],
+        "solution": None if outcome.solution is None else vars(outcome.solution),
+        "corrections_applied": [vars(c) for c in outcome.corrections_applied],
         "ranking": [
             {
                 "case_id": sc.case_id,
                 "m_r": sc.m_r,
                 "m_a": sc.m_a,
-                "breakdown_r": [_encode_row(row) for row in sc.breakdown_r],
+                "breakdown_r": [vars(row) for row in sc.breakdown_r],
                 "breakdown_a": None
                 if sc.breakdown_a is None
-                else [_encode_row(row) for row in sc.breakdown_a],
+                else [vars(row) for row in sc.breakdown_a],
             }
             for sc in outcome.ranking
         ],
@@ -498,7 +481,7 @@ def with_running_sums(rows: list, total_field: str) -> list[dict]:
     encoded = []
     for row in rows:
         total += getattr(row, total_field)
-        encoded.append({**_encode_row(row), "running_sum": total})
+        encoded.append({**vars(row), "running_sum": total})
     return encoded
 
 
@@ -518,7 +501,7 @@ def encode_explanation(
         "mode": mode.value,
         "target_id": target_id,
         "source_id": source_id,
-        "corrections_applied": [_encode_row(c) for c in corrections],
+        "corrections_applied": [vars(c) for c in corrections],
         "m_r": retrieval.score,
         "retrieval_rows": with_running_sums(retrieval.breakdown, "product"),
         "m_a": adaptation.score,

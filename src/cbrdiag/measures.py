@@ -51,6 +51,7 @@ import heapq
 import itertools
 import math
 import sys
+from _thread import allocate_lock
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -402,10 +403,18 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     return _measure_one(target, source, ctx, _RETRIEVAL)[0]
 
 
+# Held while a case base compiles; one for all bases, as compiling is rare.
+# It comes from _thread, loaded at interpreter start, since importing
+# threading would add to every CLI process's start-up.
+_COMPILE_LOCK = allocate_lock()
+
+
 def _compiled_sources(case_base: CaseBase) -> tuple:
-    """The case base's sources compiled for ranking: compiled on the first
-    call, with the cyclic garbage collector paused, and cached on the case
-    base. A tuple of
+    """The case base's sources compiled for ranking: compiled once, on the
+    first call, with the cyclic garbage collector paused, and cached on the
+    case base. Calls that find nothing compiled take a lock and look again,
+    so threads that start together on a fresh base build one tuple between
+    them. A tuple of
 
     - the sources in id order, each with its records by descriptor id;
     - the posting lists: for each (descriptor id, casefolded state,
@@ -420,7 +429,12 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
     - whether any source record is ``_OTHER``.
     """
     compiled = case_base._compiled
-    if compiled is None:
+    if compiled is not None:
+        return compiled
+    with _COMPILE_LOCK:
+        compiled = case_base._compiled
+        if compiled is not None:
+            return compiled
         taxonomy, profiles = case_base.taxonomy, case_base.profiles
         sources = []
         postings: defaultdict[tuple, list[tuple]] = defaultdict(list)
@@ -453,7 +467,7 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
                 _OTHER in kinds,
             )
         object.__setattr__(case_base, "_compiled", compiled)
-    return compiled
+        return compiled
 
 
 def rank_sources(

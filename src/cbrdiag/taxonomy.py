@@ -1,15 +1,17 @@
 """Component taxonomy and the hierarchical value similarity for symbolic labels.
 
-The taxonomy is a single rooted tree of named nodes. Two labels are compared
-by the depth-ratio measure 2*depth(lca) / (depth(a) + depth(b)), which is 1
-exactly for identical labels and 0 for labels whose only shared ancestor is
-the root.
+The taxonomy is a single rooted tree of named nodes. Two labels a and b are
+compared by the depth-ratio measure 2*depth(lca) / (depth(a) + depth(b)), lca
+being their lowest common ancestor: 1 exactly for identical labels (the
+depth-0 root, which has no ratio, scores 1 by definition) and 0 for labels
+whose only shared ancestor is the root. Ranking takes the same floats from
+position tables (``_ancestry`` and ``_coordinates``) rather than a walk per
+pair.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import UnknownLabelError
 
@@ -96,34 +98,18 @@ class Taxonomy:
         return b
 
     def value_similarity(self, a: str, b: str) -> float:
-        """Depth-ratio similarity of two labels, in [0, 1].
+        """Depth-ratio similarity of two labels, in [0, 1]: 1.0 for identical
+        labels, else 2 * depth(lca) / (depth(a) + depth(b)) with ``lca``
+        their :meth:`lowest_common_ancestor`.
 
-        1.0 iff the labels are identical; distinct same-depth siblings score
-        strictly below 1; labels meeting only at a depth-0 root score 0.
+        Distinct same-depth siblings score strictly below 1; labels meeting
+        only at the depth-0 root score 0.
         """
-        return self._similarity(a)(b)
-
-    def value_similarities(self, a: str, labels: list[str]) -> list[float]:
-        """The :meth:`value_similarity` of ``a`` and each of ``labels``, in
-        order."""
-        return list(map(self._similarity(a), labels))
-
-    def _similarity(self, a: str) -> Callable[[str], float]:
-        """The :meth:`value_similarity` of ``a`` and a label, as a function."""
-        self._require(a)
-        depth, first = self._depth, self._first
-        bounds, twice = self._ancestry(a)
-        depth_a = depth[a]
-
-        def similarity(b: str) -> float:
-            depth_b = depth.get(b)
-            if depth_b is None:
-                raise UnknownLabelError(b)
-            if b == a:
-                return 1.0
-            return twice[bisect_right(bounds, first[b])] / (depth_a + depth_b)
-
-        return similarity
+        lca = self.lowest_common_ancestor(a, b)
+        if a == b:
+            return 1.0
+        depth = self._depth
+        return 2.0 * depth[lca] / (depth[a] + depth[b])
 
     def _coordinates(self, name: str) -> tuple[int, int]:
         """The pre-order position and the depth of a label in the tree: with

@@ -512,6 +512,44 @@ def test_outcome_integer_fields_reject_fractions(engine_case_base, rows, field, 
     assert str(excinfo.value) == f"$.ranking[0].{rows}[0].{field}: expected an integer, got {value!r}"
 
 
+# The flat rows of the fixture's outcome document, by their path of keys.
+OUTCOME_ROWS = [
+    ("solution",),
+    ("corrections_applied", 0),
+    ("ranking", 0, "breakdown_r", 0),
+    ("ranking", 0, "breakdown_a", 0),
+]
+
+
+@pytest.mark.parametrize("keys", OUTCOME_ROWS, ids=_json_path)
+def test_outcome_row_faults_name_the_field(engine_case_base, keys):
+    # Each field of the row, deleted or given a value of the wrong JSON type,
+    # is rejected with its path and its checker's text. The type a field
+    # must have is read off the document: a string, an integer or a float.
+    text = encode_outcome(diagnose(engine_case_base.cases["target"], engine_case_base))
+    path = _json_path(keys)
+    fields = _container(json.loads(text), keys)[keys[-1]]
+    assert fields
+    for name, value in fields.items():
+        faults = [(None, f"{path}: missing required field {name!r}")]
+        if isinstance(value, str):
+            faults.append((0, f"{path}.{name}: expected a string, got int"))
+        else:
+            faults.append(("1", f"{path}.{name}: expected a number, got str"))
+            if isinstance(value, int):
+                faults.append((0.5, f"{path}.{name}: expected an integer, got 0.5"))
+        for replacement, message in faults:
+            document = json.loads(text)
+            row = _container(document, keys)[keys[-1]]
+            if replacement is None:
+                del row[name]
+            else:
+                row[name] = replacement
+            with pytest.raises(DocumentSyntaxError) as excinfo:
+                decode_outcome(json.dumps(document))
+            assert str(excinfo.value) == message
+
+
 @given(st.data())
 def test_single_field_mutation_fails_only_as_a_document_error(fixture_text, data):
     # Decoding one mutation of the fixture either rejects the document with

@@ -802,16 +802,20 @@ def _answers(case_base: CaseBase, targets: list[Case]) -> dict[str, tuple]:
     return answers
 
 
-def test_concurrent_first_queries_answer_as_sequential_ones():
+def test_concurrent_first_queries_answer_as_sequential_ones(monkeypatch):
     # Four threads start together on one base with nothing compiled, so that
     # they compile it and build the columns of many posting lists at the
     # same time; a race is rare in any one round, so each of 20 rounds
-    # takes a fresh base.
+    # takes a fresh base. Compiling reads the base's sources once, so
+    # counting those reads shows that the threads compiled it once.
     threads = 4
     sequential = _threaded_case_base(16)
     targets = sequential.targets()
     expected = _answers(sequential, targets)
     assert all(float.fromhex(ranking[0][1]) > 0 for _, ranking in expected.values())
+    reads: list = []
+    sources = CaseBase.sources
+    monkeypatch.setattr(CaseBase, "sources", lambda self: reads.append(self) or sources(self))
 
     def run(j: int) -> None:
         try:
@@ -835,5 +839,6 @@ def test_concurrent_first_queries_answer_as_sequential_ones():
                 assert not worker.is_alive()
             for result in results:
                 assert result == expected
+            assert len(reads) == 1 and reads.pop() is case_base
     finally:
         sys.setswitchinterval(interval)

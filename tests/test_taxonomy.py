@@ -57,22 +57,25 @@ def test_unknown_label(engine_tree):
 
 
 def test_unknown_label_in_either_place(engine_tree):
-    with pytest.raises(UnknownLabelError):
-        engine_tree.value_similarity("warp drive", "Monolith")
-    with pytest.raises(UnknownLabelError):
-        engine_tree.value_similarities("Monolith", ["Comp.", "warp drive"])
+    # The error names the unknown label, a before b when both are unknown.
+    for a, b, unknown in [
+        ("warp drive", "Monolith", "warp drive"),
+        ("Monolith", "warp drive", "warp drive"),
+        ("warp drive", "flux capacitor", "warp drive"),
+    ]:
+        with pytest.raises(UnknownLabelError) as excinfo:
+            engine_tree.value_similarity(a, b)
+        assert str(excinfo.value) == f"unknown taxonomy label: {unknown!r}"
+        assert excinfo.value.label == unknown
 
 
 @given(st.data())
-def test_batched_similarity_matches_pairwise(data):
+def test_similarity_matches_naive_reference(data):
     taxonomy = data.draw(taxonomies())
     nodes = taxonomy.nodes()
     a = data.draw(st.sampled_from(nodes))
-    # Repeats, the label itself and the root all occur within one list.
-    labels = data.draw(st.lists(st.one_of(st.sampled_from(nodes), st.just(a), st.just(taxonomy.root))))
-    batched = taxonomy.value_similarities(a, labels)
-    assert [x.hex() for x in batched] == [taxonomy.value_similarity(a, b).hex() for b in labels]
-    assert [x.hex() for x in batched] == [naive_value_similarity(taxonomy, a, b).hex() for b in labels]
+    b = data.draw(st.one_of(st.sampled_from(nodes), st.just(a), st.just(taxonomy.root)))
+    assert taxonomy.value_similarity(a, b).hex() == naive_value_similarity(taxonomy, a, b).hex()
 
 
 def test_depths(engine_tree):
