@@ -7,7 +7,6 @@ the retrieved case that is easiest to adapt. Descriptors may be imprecise
 enhanced similarity), or simply absent.
 """
 
-from .adaptation import AdaptationResult, AdaptationTerm, adaptation_measure, lambda_weight
 from .cases import (
     AlignmentPair,
     Case,
@@ -35,10 +34,14 @@ from .errors import (
 )
 from .fuzzy import FuzzyProfile, FuzzySubset, classify_subset, correct_imprecise, membership, same_class
 from .measures import (
+    AdaptationResult,
+    AdaptationTerm,
     LocalScores,
     RetrievalResult,
     ScoringContext,
     ScoringMode,
+    adaptation_measure,
+    lambda_weight,
     retrieval_measure,
 )
 from .pipeline import (

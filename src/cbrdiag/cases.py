@@ -149,12 +149,13 @@ class CaseBase:
     operating mode, and per source a bitmask of its descriptor ids (one of
     all of them, one of its certain ones), and keeps them all. A query adds
     up its scores from the posting lists that match its target's
-    descriptors, since a pair whose state or mode disagrees adds 0; a base
-    or target holding a value that validation would reject is scored source
-    by source instead. Either way each returned source's records are read
-    once more, one source at a time, for its breakdown rows. Neither the
-    case base nor the mappings it holds may be mutated afterwards; build a
-    new one instead (``dataclasses.replace`` starts with nothing compiled).
+    descriptors, since a pair whose state or mode disagrees adds 0; a source
+    holding a value that validation would reject, or every source when the
+    target holds one, is scored from its records instead. Each returned
+    source's records are read once more, one source at a time, for its
+    breakdown rows. Neither the case base nor the mappings it holds may be
+    mutated afterwards; build a new one instead (``dataclasses.replace``
+    starts with nothing compiled).
     Concurrent first queries compile it once, under a lock; concurrent first
     reads of a posting list may both build its columns, which is harmless:
     either result serves.

@@ -17,7 +17,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import codec
-from .adaptation import adaptation_measure
 from .cases import Case, CaseBase, CaseKind, validate_case
 from .errors import (
     ConfigurationError,
@@ -27,7 +26,7 @@ from .errors import (
     MissingProfileError,
     UnknownLabelError,
 )
-from .measures import ScoringContext, ScoringMode, retrieval_measure
+from .measures import ScoringContext, ScoringMode, adaptation_measure, retrieval_measure
 from .pipeline import DiagnosisOutcome, _retrieve, diagnose, prepare_target
 
 EXIT_OK = 0

@@ -26,7 +26,6 @@ from itertools import chain
 from json.encoder import encode_basestring
 from typing import Any, NoReturn, Optional
 
-from .adaptation import AdaptationResult, AdaptationTerm
 from .cases import (
     Case,
     CaseBase,
@@ -42,7 +41,7 @@ from .cases import (
 )
 from .errors import DocumentSyntaxError, DocumentValidationError
 from .fuzzy import FuzzyProfile, FuzzySubset
-from .measures import LocalScores, RetrievalResult, ScoringMode
+from .measures import AdaptationResult, AdaptationTerm, LocalScores, RetrievalResult, ScoringMode
 from .pipeline import Correction, DiagnosisOutcome, ScoredCase
 from .taxonomy import Taxonomy
 

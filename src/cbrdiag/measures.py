@@ -1,4 +1,5 @@
-"""Local similarity measures and the global retrieval measure.
+"""Local similarity measures, the global retrieval measure and the
+adaptation measure.
 
 The retrieval score of a source case against the target aggregates four
 local factors per co-present descriptor: value closeness, state agreement,
@@ -18,11 +19,10 @@ its sources into records once; a target is compiled per query, and each of
 its records gets its value rules as two functions built side by side from
 the same constants: a value function for one pair, and an adder for a whole
 posting list. One kernel scores one source: it walks the target's records
-against the source's, and builds the source's retrieval rows, the
-adaptation rows of :mod:`cbrdiag.adaptation`, or both, from one value per
-pair. A pair's value comes from the value function, or from
-:func:`phi_value` on the real descriptors when either record is one no
-value function can score.
+against the source's, and builds the source's retrieval rows, its
+adaptation rows, or both, from one value per pair. A pair's value comes
+from the value function, or from :func:`phi_value` on the real descriptors
+when either record is one no value function can score.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
@@ -38,10 +38,11 @@ typical mode, in one loop, and adds each value that is not 0 to its
 source's numerator. Labels compare by one bisection of the target label's
 ancestor bounds per record. The denominator counts co-present descriptors,
 certain ones in enhanced mode, as the bits two descriptor-id masks share.
-A base or target holding a record no value function can score (only an
-unvalidated one does) is ranked by the kernel instead, source by source,
-so it raises where and what the kernel raises. Either way, each returned
-source then gets its rows from one kernel call, in ranking order.
+A source holding a record no value function can score (only an unvalidated
+base holds one) takes its score from the kernel instead, and so does every
+source when the target holds one; those kernel calls run in id order, so
+a query raises where and what the kernel raises. Each returned source then
+gets its rows from one kernel call, in ranking order.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ _UNSPECIFIED = OperatingMode.UNSPECIFIED.value
 def _weight(target_code: str, source_code: str) -> int:
     """The adaptation weight of two operating-mode codes, doubling per abnormal side."""
     return 2 ** ((target_code == _ABNORMAL) + (source_code == _ABNORMAL))
+
+
+def lambda_weight(target_mode: OperatingMode, source_mode: OperatingMode) -> int:
+    """The adaptation weight of two operating modes: 1, 2 or 4, doubling per
+    abnormal side, as failure modes point at the likely faulty components.
+    An unspecified mode weighs like a normal one."""
+    return _weight(target_mode.value, source_mode.value)
 
 
 def phi_value(
@@ -213,7 +221,8 @@ def _columns(records: list[tuple], taxonomy: Taxonomy) -> tuple[tuple, tuple]:
     symbolic records' source positions and their labels' pre-order
     positions and depths (:meth:`Taxonomy._coordinates`), and the numeric
     records' source positions, magnitudes, units and subset labels. Each is
-    a tuple of columns, empty when no record is of its kind."""
+    a tuple of columns, empty when no record is of its kind; ``_OTHER``
+    records are in neither."""
     coordinates = taxonomy._coordinates
     symbolic = [(s[7], *coordinates(s[1])) for s in records if s[0] is _SYMBOLIC]
     numeric = [(s[7], s[1], s[2], s[6]) for s in records if s[0] is _NUMERIC]
@@ -403,6 +412,21 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     return _measure_one(target, source, ctx, _RETRIEVAL)[0]
 
 
+def adaptation_measure(target: Case, source: Case, ctx: ScoringContext) -> AdaptationResult:
+    """How well the source's knowledge transfers to the target, in [0, 4],
+    with its per-descriptor breakdown: the mean of the value similarities of
+    the co-present descriptors with an operating mode on either side,
+    uncertain ones included (doubt disqualifies a value from similarity, not
+    from pointing at a failing component), each weighted by
+    :func:`lambda_weight`; 0 with no such descriptor. Values compare as in
+    enhanced mode whatever ``ctx.mode`` says, so callers pass the target
+    corrected (the pipeline always does).
+    """
+    if ctx.mode is not ScoringMode.ENHANCED:
+        ctx = ScoringContext(taxonomy=ctx.taxonomy, profiles=ctx.profiles)
+    return _measure_one(target, source, ctx, _ADAPTATION)[1]
+
+
 # Held while a case base compiles; one for all bases, as compiling is rare.
 # It comes from _thread, loaded at interpreter start, since importing
 # threading would add to every CLI process's start-up.
@@ -426,7 +450,8 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
     - one bit per descriptor id;
     - per scoring mode, one mask per source of the ids that count toward its
       denominator: its certain ids in enhanced mode, all of them in typical;
-    - whether any source record is ``_OTHER``.
+    - the positions of the sources holding an ``_OTHER`` record, which
+      :func:`rank_sources` scores with the kernel.
     """
     compiled = case_base._compiled
     if compiled is not None:
@@ -441,7 +466,7 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
         bits: dict[str, int] = {}
         certain_masks = []
         present_masks = []
-        kinds = set()
+        unscorable = set()
         with _collector_paused():
             for position, source in enumerate(case_base.sources()):
                 records = {}
@@ -455,7 +480,8 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
                     if not record[5]:
                         certain |= bit
                     postings[did, record[3], record[4], record[5]].append(record)
-                    kinds.add(record[0])
+                    if record[0] is _OTHER:
+                        unscorable.add(position)
                 sources.append((source, records))
                 certain_masks.append(certain)
                 present_masks.append(present)
@@ -464,7 +490,7 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
                 dict(postings),
                 bits,
                 {ScoringMode.ENHANCED: certain_masks, ScoringMode.TYPICAL: present_masks},
-                _OTHER in kinds,
+                frozenset(unscorable),
             )
         object.__setattr__(case_base, "_compiled", compiled)
         return compiled
@@ -488,38 +514,46 @@ def rank_sources(
     that are 0, which leave a sum that starts at 0.0 as it is. A source that
     gets no addition scores 0 as one that shares nothing. Each numerator
     is divided by the number of bits the target's mask and the source's
-    share. When the base or the target holds an ``_OTHER`` record, the kernel
-    scores every source in id order instead, so that it raises what and
-    where the kernel raises. Sources scoring 0 fill the places left after the
-    positive scores, in id order, and a ``top_k`` past the number of sources
-    returns them all. Only the returned sources get rows, from one kernel
-    call each in ranking order, so that an error an adaptation row raises
-    is the first ranked source's.
+    share. A source holding an ``_OTHER`` record, and every source when the
+    target holds one, takes the kernel's score instead (an ``_OTHER`` target
+    record has no adder). Only an ``_OTHER`` pair can raise, and these kernel
+    calls run in id order, so a query raises what and where the kernel run
+    on every source in id order would. Sources scoring 0 fill the places
+    left after the positive scores, in id order, and a ``top_k`` past the
+    number of sources returns them all. Only the returned sources get rows,
+    from one kernel call each in ranking order, so that an error an
+    adaptation row raises is the first ranked source's.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
-    sources, postings, bits, masks, has_other = _compiled_sources(case_base)
+    sources, postings, bits, masks, unscorable = _compiled_sources(case_base)
     records = _target_records(target, ctx)
-    if has_other or any(t[4] is None for t in records):
-        scores = {i: _measure(target, records, *source, ctx, _RETRIEVAL)[0].score for i, source in enumerate(sources)}
-    else:
-        numerators: defaultdict[int, float] = defaultdict(float)
-        target_mask = 0
-        uncertain_flags = (False,) if enhanced else (False, True)
-        for did, t_state, t_om, t_uncertain, _, add in records:
-            if enhanced and t_uncertain:
-                continue
-            target_mask |= bits.get(did, 0)
-            for uncertain in uncertain_flags:
-                key = did, t_state, t_om, uncertain
-                columns = postings.get(key)
-                if type(columns) is list:
-                    # Read for the first time: its columns take its place.
-                    columns = postings[key] = _columns(columns, ctx.taxonomy)
-                if columns is not None:
-                    add(columns, numerators)
-        source_masks = masks[mode]
-        scores = {i: numerators[i] / (target_mask & source_masks[i]).bit_count() for i in sorted(numerators)}
+    if any(t[5] is None for t in records):
+        unscorable = range(len(sources))
+    numerators: defaultdict[int, float] = defaultdict(float)
+    target_mask = 0
+    uncertain_flags = (False,) if enhanced else (False, True)
+    for did, t_state, t_om, t_uncertain, _, add in records:
+        if add is None or enhanced and t_uncertain:
+            continue
+        target_mask |= bits.get(did, 0)
+        for uncertain in uncertain_flags:
+            key = did, t_state, t_om, uncertain
+            columns = postings.get(key)
+            if type(columns) is list:
+                # Read for the first time: its columns take its place.
+                columns = postings[key] = _columns(columns, ctx.taxonomy)
+            if columns is not None:
+                add(columns, numerators)
+    source_masks = masks[mode]
+    scores = {
+        i: (
+            _measure(target, records, *sources[i], ctx, _RETRIEVAL)[0].score
+            if i in unscorable
+            else numerators[i] / (target_mask & source_masks[i]).bit_count()
+        )
+        for i in sorted(numerators.keys() | unscorable)
+    }
     top_k = min(top_k, len(sources))
     # nlargest keeps equal scores in input order, which is case-id order.
     best = [i for i in heapq.nlargest(top_k, scores, key=scores.__getitem__) if scores[i] > 0]

@@ -9,8 +9,9 @@ inside the domain. The naive reference computes with the same expression
 shapes, so comparisons against it stay bit-exact. A descriptor id is either
 symbolic everywhere or has one fuzzy profile for the whole case base; every
 numeric descriptor has its id's profile and a magnitude inside the profile
-domain, unless the bundle is drawn with ``valid=False``: then some numerics
-have no profile and some lie just outside their profile's domain, so
+domain, and every label is a taxonomy node, unless the bundle is drawn with
+``valid=False``: then some numerics have no profile, some lie just outside
+their profile's domain, and some labels are outside the taxonomy, so
 ``validate`` may reject the case base.
 
 Schemas reach forty ids while a case records at most twelve, and usually a
@@ -52,6 +53,7 @@ DOMAIN_LOWER = 0.0
 DOMAIN_UPPER = 100.0
 _MAX = sys.float_info.max
 _TINY = math.ulp(0.0)  # the smallest subnormal
+_UNKNOWN_LABEL = "warp drive"  # never a node of a drawn taxonomy
 
 
 def _domains() -> st.SearchStrategy[tuple[float, float]]:
@@ -163,7 +165,8 @@ def descriptors(
         value = NumericValue(magnitude=magnitude, unit=unit)
         imprecise = allow_flags and draw(st.booleans())
     else:
-        value = SymbolicValue(label=draw(st.sampled_from(taxonomy.nodes())))
+        labels = taxonomy.nodes() if valid else [*taxonomy.nodes(), _UNKNOWN_LABEL]
+        value = SymbolicValue(label=draw(st.sampled_from(labels)))
         imprecise = False
     uncertain = allow_flags and draw(st.sampled_from([False, False, True]))
     return Descriptor(

@@ -259,8 +259,8 @@ def test_adders_add_each_pairs_phi_value(bundle):
     # adds exactly phi_value of each pair to its source and leaves out only
     # pairs whose value is 0; the value function gives the same values.
     case_base, target = bundle
-    sources, postings, _, _, has_other = _compiled_sources(case_base)
-    assert not has_other  # a validated base
+    sources, postings, _, _, unscorable = _compiled_sources(case_base)
+    assert not unscorable  # a validated base
     for mode in ScoringMode:
         for did, state, om, uncertain, value, add in _target_records(target, ctx(case_base, mode)):
             assert value is not None

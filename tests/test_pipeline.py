@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given
 
+from cbrdiag import measures
 from cbrdiag import (
     Case,
     CaseBase,
@@ -289,9 +290,10 @@ _UNSCORABLE = (UnknownLabelError, MissingProfileError, FuzzyDomainError)
 
 @given(case_bundles(valid=False), top_ks())
 def test_unvalidated_ranking_rows_match_the_measures(bundle, top_k):
-    # Bases and targets that validation may reject are ranked source by
-    # source; whenever a query returns, each ranked source's scores and rows
-    # are the public measures' on that source, as on a validated base.
+    # Bases and targets that validation may reject: sources holding a value
+    # no posting list can score take the kernel's score, the rest the
+    # posting lists'; whenever a query returns, each ranked source's scores
+    # and rows are the public measures' on that source.
     case_base, target = bundle
     for mode in ScoringMode:
         try:
@@ -315,6 +317,41 @@ def test_unvalidated_ranking_rows_match_the_measures(bundle, top_k):
         adaptation = adaptation_measure(prepared, source, ctx)
         assert (sc.m_r.hex(), _hex_rows(sc.breakdown_r)) == (retrieval.score.hex(), _hex_rows(retrieval.breakdown))
         assert (sc.m_a.hex(), _hex_rows(sc.breakdown_a)) == (adaptation.score.hex(), _hex_rows(adaptation.breakdown))
+
+
+def _error(call, *args) -> tuple[type, str] | None:
+    """The type and text of the exception ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # compared whole, so an unexpected one shows
+        return type(exc), str(exc)
+    return None
+
+
+def _walk(target: Case, case_base: CaseBase, mode: ScoringMode) -> None:
+    # The reference walk: in enhanced mode the target is prepared, then the
+    # public measure scores every source in id order.
+    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+    if mode is ScoringMode.ENHANCED:
+        target = prepare_target(target, case_base.profiles)[0]
+    for source in case_base.sources():
+        retrieval_measure(target, source, ctx)
+
+
+@given(case_bundles(valid=False), top_ks())
+def test_unvalidated_queries_raise_the_reference_walks_first_error(bundle, top_k):
+    # Ranking scores with the kernel only the sources that hold a value no
+    # posting list can score (all of them when the target holds one), yet it
+    # raises what the walk over every source raises first, and nothing when
+    # the walk raises nothing. diagnose raises the enhanced walk's error,
+    # ahead of any its adaptation rows might raise.
+    case_base, target = bundle
+    for mode in ScoringMode:
+        expected = _error(_walk, target, case_base, mode)
+        assert _error(retrieve, target, case_base, mode, top_k) == expected
+    expected = _error(_walk, target, case_base, ScoringMode.ENHANCED)
+    if expected is not None:
+        assert _error(diagnose, target, case_base, top_k) == expected
 
 
 def _with_source_descriptor(case_base: CaseBase, source_id: str, descriptor: Descriptor) -> CaseBase:
@@ -617,6 +654,32 @@ def test_index_unscorable_source_in_another_posting_list_raises(mode):
         with pytest.raises(UnknownLabelError) as err:
             retrieve(target, case_base, mode, 3)
         assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+
+
+def test_unscorable_source_costs_one_kernel_call(monkeypatch):
+    # Unvalidated: of 200 sources, s150 holds an unknown label on "c", which
+    # the target does not record. Only s150 is scored by the kernel, so a
+    # query makes one kernel call for it and one per returned source.
+    labels = ("a1", "a2", "a", "b")
+    sources = [
+        _index_case(f"s{i:03d}", CaseKind.SOURCE, _sym("a", labels[i % 4]), _numeric("n", float(i % 101), "u"))
+        for i in range(200)
+    ]
+    sources[150] = replace(sources[150], descriptors={**sources[150].descriptors, "c": _sym("c", "warp drive")})
+    target = _index_case("t", CaseKind.TARGET, *_INDEX_TARGETS["full"])
+    cases = {c.id: c for c in [*sources, target]}
+    case_base = CaseBase(taxonomy=_INDEX_TAXONOMY, profiles={"n": _INDEX_PROFILE}, cases=cases)
+    calls = []
+    kernel = measures._measure
+    monkeypatch.setattr(measures, "_measure", lambda *args: calls.append(args[2].id) or kernel(*args))
+    for mode in ScoringMode:
+        ranking = retrieve(target, case_base, mode, 3)
+        reference = naive_retrieve(target, case_base, mode is ScoringMode.ENHANCED, 3)
+        assert [(sc.case_id, sc.m_r) for sc in ranking] == reference
+        assert len(calls) <= 4, calls
+        calls.clear()
+    diagnose(target, case_base, 3)
+    assert len(calls) <= 4, calls
 
 
 def test_nan_target_magnitude_fails_the_domain_check(engine_case_base):
