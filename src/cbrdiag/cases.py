@@ -150,8 +150,8 @@ class CaseBase:
     all of them, one of its certain ones), and keeps them all. A query adds
     up its scores from the posting lists that match its target's
     descriptors, since a pair whose state or mode disagrees adds 0; a source
-    holding a value that validation would reject, or every source when the
-    target holds one, is scored from its records instead. Each returned
+    holding a value that validation would reject, or recording the id of
+    one the target holds, is scored from its records instead. Each returned
     source's records are read once more, one source at a time, for its
     breakdown rows. Neither the case base nor the mappings it holds may be
     mutated afterwards; build a new one instead (``dataclasses.replace``

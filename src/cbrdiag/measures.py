@@ -40,9 +40,9 @@ ancestor bounds per record. The denominator counts co-present descriptors,
 certain ones in enhanced mode, as the bits two descriptor-id masks share.
 A source holding a record no value function can score (only an unvalidated
 base holds one) takes its score from the kernel instead, and so does every
-source when the target holds one; those kernel calls run in id order, so
-a query raises where and what the kernel raises. Each returned source then
-gets its rows from one kernel call, in ranking order.
+source that records the id of such a target record; those kernel calls run
+in id order, so a query raises where and what the kernel raises. Each
+returned source then gets its rows from one kernel call, in ranking order.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class ScoringContext:
     mode: ScoringMode = ScoringMode.ENHANCED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalScores:
     """Per-descriptor factor breakdown; product is the numerator term."""
 
@@ -90,6 +90,20 @@ class LocalScores:
     phi_om: int
     product: float
 
+    def __init__(
+        self, descriptor_id: str, phi_value: float, phi_state: int, phi_presence: int, phi_om: int, product: float
+    ) -> None:
+        # One dict write per field: a frozen dataclass's own __init__ pays
+        # an object.__setattr__ call per field, and the kernel builds a row
+        # per co-present descriptor of every returned source.
+        d = self.__dict__
+        d["descriptor_id"] = descriptor_id
+        d["phi_value"] = phi_value
+        d["phi_state"] = phi_state
+        d["phi_presence"] = phi_presence
+        d["phi_om"] = phi_om
+        d["product"] = product
+
 
 @dataclass(frozen=True)
 class RetrievalResult:
@@ -97,7 +111,7 @@ class RetrievalResult:
     breakdown: list[LocalScores]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AdaptationTerm:
     """Per-descriptor weighted contribution; term is the numerator share."""
 
@@ -106,6 +120,15 @@ class AdaptationTerm:
     phi_presence: int
     phi_value: float
     term: float
+
+    def __init__(self, descriptor_id: str, weight: int, phi_presence: int, phi_value: float, term: float) -> None:
+        # One dict write per field, as in LocalScores.
+        d = self.__dict__
+        d["descriptor_id"] = descriptor_id
+        d["weight"] = weight
+        d["phi_presence"] = phi_presence
+        d["phi_value"] = phi_value
+        d["term"] = term
 
 
 @dataclass(frozen=True)
@@ -235,10 +258,12 @@ def _valuer(
     """The value rules of a target record, as two functions built from the
     same constants: the value function, the value factor of the record and a
     source record, neither ``_OTHER``, as :func:`phi_value` gives it for
-    their descriptors; and the adder, which adds to ``numerators`` the value
-    of every record of a posting list's columns (:func:`_columns`) whose
-    value is not 0, at the record's source position. Both None for an
-    ``_OTHER`` target record.
+    their descriptors; and the adder, which adds the value of every record
+    of a posting list's columns (:func:`_columns`) whose value is not 0 to
+    the plain dict ``numerators``, at the record's source position, as
+    ``numerators[p] = get(p, 0.0) + v`` with ``get`` bound once per call
+    (cheaper than a ``defaultdict``'s ``+=``, and the same float). Both None
+    for an ``_OTHER`` target record.
 
     Kinds must match, and units for numerics. Labels take the taxonomy's
     similarity from their coordinates: 1 for equal labels, otherwise twice
@@ -254,14 +279,14 @@ def _valuer(
         first, depth = coordinates(key)
         bounds, twice = taxonomy._ancestry(key)
 
-        def add(columns: tuple, numerators: defaultdict) -> None:
-            bisect = bisect_right
+        def add(columns: tuple, numerators: dict) -> None:
+            bisect, get = bisect_right, numerators.get
             for p, f, d in zip(*columns[0]):
                 shared = twice[bisect(bounds, f)]
                 if shared:
-                    numerators[p] += shared / (depth + d)
+                    numerators[p] = get(p, 0.0) + shared / (depth + d)
                 elif f == first:  # the root, the one label that shares depth 0 with itself
-                    numerators[p] += 1.0
+                    numerators[p] = get(p, 0.0) + 1.0
 
         def value(s: tuple) -> float:
             if s[0] is not _SYMBOLIC:
@@ -276,10 +301,11 @@ def _valuer(
         return None, None
     if enhanced:
 
-        def add(columns: tuple, numerators: defaultdict) -> None:
+        def add(columns: tuple, numerators: dict) -> None:
+            get = numerators.get
             for p, m, u, c in zip(*columns[1]):
                 if u == unit and (m == key or subset is not None and c == subset):
-                    numerators[p] += 1.0
+                    numerators[p] = get(p, 0.0) + 1.0
 
         return (
             lambda s: (
@@ -294,12 +320,13 @@ def _valuer(
     # whose magnitudes are all equal.
     span = profile.domain_upper - profile.domain_lower
 
-    def add(columns: tuple, numerators: defaultdict) -> None:
+    def add(columns: tuple, numerators: dict) -> None:
+        get = numerators.get
         for p, m, u, _ in zip(*columns[1]):
             if u == unit:
                 v = 1.0 if m == key else 1.0 - abs(key - m) / span
                 if v:
-                    numerators[p] += v
+                    numerators[p] = get(p, 0.0) + v
 
     return (
         lambda s: (
@@ -506,21 +533,22 @@ def rank_sources(
     order and leaving out uncertain ones in enhanced mode, hands the columns
     of the posting lists of its id, state and mode to its adder, which adds
     the value of each record that is not 0 to the numerator of the record's
-    source. Enhanced mode reads the list of certain source values only,
-    typical mode also the uncertain one, with the same adder. A source is in
-    at most one of these lists, so it gets at most one addition per target
-    descriptor, in target-id order, whatever the order within a list: these
-    are the additions the kernel makes, in its order, less those of products
-    that are 0, which leave a sum that starts at 0.0 as it is. A source that
-    gets no addition scores 0 as one that shares nothing. Each numerator
-    is divided by the number of bits the target's mask and the source's
-    share. A source holding an ``_OTHER`` record, and every source when the
-    target holds one, takes the kernel's score instead (an ``_OTHER`` target
-    record has no adder). Only an ``_OTHER`` pair can raise, and these kernel
-    calls run in id order, so a query raises what and where the kernel run
-    on every source in id order would. Sources scoring 0 fill the places
-    left after the positive scores, in id order, and a ``top_k`` past the
-    number of sources returns them all. Only the returned sources get rows,
+    source, kept in a plain dict by source position. Enhanced mode reads the
+    list of certain source values only, typical mode also the uncertain one,
+    with the same adder. A source is in at most one of these lists, so it
+    gets at most one addition per target descriptor, in target-id order,
+    whatever the order within a list: these are the additions the kernel
+    makes, in its order, less those of products that are 0, which leave a
+    sum that starts at 0.0 as it is. A source that gets no addition scores 0
+    as one that shares nothing. Each numerator is divided by the number of
+    bits the target's mask and the source's share. A source holding an
+    ``_OTHER`` record, and every source that records the id of an ``_OTHER``
+    target record (which has no adder), takes the kernel's score instead; no
+    other source can pair with such a record. Only an ``_OTHER`` pair can
+    raise, and these kernel calls run in id order, so a query raises what
+    and where the kernel run on every source in id order would. Sources
+    scoring 0 fill the places left after the positive scores, in id order,
+    and a ``top_k`` past the number of sources returns them all. Only the returned sources get rows,
     from one kernel call each in ranking order, so that an error an
     adaptation row raises is the first ranked source's.
     """
@@ -528,13 +556,14 @@ def rank_sources(
     enhanced = mode is ScoringMode.ENHANCED
     sources, postings, bits, masks, unscorable = _compiled_sources(case_base)
     records = _target_records(target, ctx)
-    if any(t[5] is None for t in records):
-        unscorable = range(len(sources))
-    numerators: defaultdict[int, float] = defaultdict(float)
-    target_mask = 0
+    numerators: dict[int, float] = {}
+    target_mask = other_mask = 0
     uncertain_flags = (False,) if enhanced else (False, True)
     for did, t_state, t_om, t_uncertain, _, add in records:
-        if add is None or enhanced and t_uncertain:
+        if add is None:
+            other_mask |= bits.get(did, 0)
+            continue
+        if enhanced and t_uncertain:
             continue
         target_mask |= bits.get(did, 0)
         for uncertain in uncertain_flags:
@@ -545,6 +574,11 @@ def rank_sources(
                 columns = postings[key] = _columns(columns, ctx.taxonomy)
             if columns is not None:
                 add(columns, numerators)
+    if other_mask:
+        # Only the sources that record one of the ids of the target's
+        # _OTHER records can pair with them.
+        present_masks = masks[ScoringMode.TYPICAL]
+        unscorable = unscorable.union(i for i, mask in enumerate(present_masks) if mask & other_mask)
     source_masks = masks[mode]
     scores = {
         i: (

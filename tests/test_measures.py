@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 import sys
-from collections import defaultdict
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 
 from cbrdiag import (
+    AdaptationTerm,
     AlignmentPair,
     Case,
     CaseKind,
@@ -268,7 +270,7 @@ def test_adders_add_each_pairs_phi_value(bundle):
                 continue
             for flag in (False,) if mode is ScoringMode.ENHANCED else (False, True):
                 records = postings.get((did, state, om, flag), [])
-                numerators = defaultdict(float)
+                numerators = {}
                 add(_columns(records, case_base.taxonomy), numerators)
                 expected = {}
                 for s in records:
@@ -279,3 +281,30 @@ def test_adders_add_each_pairs_phi_value(bundle):
                     if phi != 0:
                         expected[s[7]] = phi.hex()
                 assert {p: v.hex() for p, v in numerators.items()} == expected
+
+
+@pytest.mark.parametrize(
+    "row",
+    [LocalScores("ds1", 0.5, 1, 1, 0, 0.0), AdaptationTerm("ds1", 2, 1, 0.5, 1.0)],
+    ids=["LocalScores", "AdaptationTerm"],
+)
+def test_row_types_keep_the_dataclass_contract(row):
+    # The row types build their instances with their own __init__; it must
+    # take the declared fields in order and leave a frozen dataclass, since
+    # the codec reads rows through fields() and vars().
+    cls = type(row)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    values = [getattr(row, name) for name in names]
+    by_keyword = cls(**dict(zip(names, values)))
+    assert cls(*values) == by_keyword == row
+    assert hash(cls(*values)) == hash(by_keyword) == hash(row)
+    assert repr(by_keyword) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    changed = replace(row, descriptor_id="ds2")
+    assert changed.descriptor_id == "ds2" and changed != row
+    assert [getattr(changed, name) for name in names[1:]] == values[1:]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.descriptor_id = "ds2"
+    assert row.descriptor_id == "ds1"
+    assert vars(row) == dataclasses.asdict(row)
+    assert list(vars(row)) == names

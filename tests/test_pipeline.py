@@ -341,7 +341,7 @@ def _walk(target: Case, case_base: CaseBase, mode: ScoringMode) -> None:
 @given(case_bundles(valid=False), top_ks())
 def test_unvalidated_queries_raise_the_reference_walks_first_error(bundle, top_k):
     # Ranking scores with the kernel only the sources that hold a value no
-    # posting list can score (all of them when the target holds one), yet it
+    # posting list can score, or record the id of one the target holds, yet it
     # raises what the walk over every source raises first, and nothing when
     # the walk raises nothing. diagnose raises the enhanced walk's error,
     # ahead of any its adaptation rows might raise.
@@ -656,22 +656,34 @@ def test_index_unscorable_source_in_another_posting_list_raises(mode):
         assert str(err.value) == "unknown taxonomy label: 'warp drive'"
 
 
-def test_unscorable_source_costs_one_kernel_call(monkeypatch):
-    # Unvalidated: of 200 sources, s150 holds an unknown label on "c", which
-    # the target does not record. Only s150 is scored by the kernel, so a
-    # query makes one kernel call for it and one per returned source.
+def _sources_with(extra: Descriptor) -> list[Case]:
+    """200 sources recording "a" and "n"; s150 also records ``extra``."""
     labels = ("a1", "a2", "a", "b")
     sources = [
         _index_case(f"s{i:03d}", CaseKind.SOURCE, _sym("a", labels[i % 4]), _numeric("n", float(i % 101), "u"))
         for i in range(200)
     ]
-    sources[150] = replace(sources[150], descriptors={**sources[150].descriptors, "c": _sym("c", "warp drive")})
-    target = _index_case("t", CaseKind.TARGET, *_INDEX_TARGETS["full"])
-    cases = {c.id: c for c in [*sources, target]}
-    case_base = CaseBase(taxonomy=_INDEX_TAXONOMY, profiles={"n": _INDEX_PROFILE}, cases=cases)
+    sources[150] = replace(sources[150], descriptors={**sources[150].descriptors, extra.id: extra})
+    return sources
+
+
+def _count_kernel_calls(monkeypatch) -> list[str]:
+    """The ids of the sources the kernel is called on from now on."""
     calls = []
     kernel = measures._measure
     monkeypatch.setattr(measures, "_measure", lambda *args: calls.append(args[2].id) or kernel(*args))
+    return calls
+
+
+def test_unscorable_source_costs_one_kernel_call(monkeypatch):
+    # Unvalidated: of 200 sources, s150 holds an unknown label on "c", which
+    # the target does not record. Only s150 is scored by the kernel, so a
+    # query makes one kernel call for it and one per returned source.
+    sources = _sources_with(_sym("c", "warp drive"))
+    target = _index_case("t", CaseKind.TARGET, *_INDEX_TARGETS["full"])
+    cases = {c.id: c for c in [*sources, target]}
+    case_base = CaseBase(taxonomy=_INDEX_TAXONOMY, profiles={"n": _INDEX_PROFILE}, cases=cases)
+    calls = _count_kernel_calls(monkeypatch)
     for mode in ScoringMode:
         ranking = retrieve(target, case_base, mode, 3)
         reference = naive_retrieve(target, case_base, mode is ScoringMode.ENHANCED, 3)
@@ -680,6 +692,30 @@ def test_unscorable_source_costs_one_kernel_call(monkeypatch):
         calls.clear()
     diagnose(target, case_base, 3)
     assert len(calls) <= 4, calls
+
+
+def test_unscorable_target_record_costs_one_kernel_call_per_source_recording_it(monkeypatch):
+    # Unvalidated: the target holds "m" at 150.0, outside its domain, and of
+    # 200 sources only s150 records "m". Only s150 can pair with that record,
+    # so only s150 is scored by the kernel. Typical mode scores the pair
+    # without raising; enhanced mode raises on it, at s150 as before.
+    sources = _sources_with(_numeric("m", 90.0, "u"))
+    target = _index_case("t", CaseKind.TARGET, _sym("a", "a1"), _numeric("n", 20.0, "u"), _numeric("m", 150.0, "u"))
+    cases = {c.id: c for c in [*sources, target]}
+    profiles = {"n": _INDEX_PROFILE, "m": replace(_INDEX_PROFILE, descriptor_id="m")}
+    case_base = CaseBase(taxonomy=_INDEX_TAXONOMY, profiles=profiles, cases=cases)
+    calls = _count_kernel_calls(monkeypatch)
+    ranking = retrieve(target, case_base, ScoringMode.TYPICAL, 3)
+    assert len(calls) <= 4, calls
+    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, case_base, False, 3)
+    for query in (lambda: retrieve(target, case_base, ScoringMode.ENHANCED, 3), lambda: diagnose(target, case_base, 3)):
+        calls.clear()
+        with pytest.raises(FuzzyDomainError) as err:
+            query()
+        assert str(err.value) == "value 150.0 for descriptor 'm' outside domain [0.0, 100.0]"
+        assert calls == ["s150"]
+    ranking = retrieve(target, case_base, ScoringMode.TYPICAL, len(sources))
+    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, case_base, False, len(sources))
 
 
 def test_nan_target_magnitude_fails_the_domain_check(engine_case_base):
