@@ -12,8 +12,13 @@ allow_nan=False)`` plus a newline, but most of it comes from json's C
 encoder, which ``indent`` would switch off: each flat container, and each
 list of flat rows, is encoded in one call whose item separator carries the
 newline and indent of its level. Only the containers that hold containers
-are walked in Python. Decoding never yields a partial case base; every
-problem is reported with the field path where it was found.
+are walked in Python. An outcome is written item by item, in key order,
+and each list of its breakdown rows from one ``%`` template per row type,
+made from the fields ``_FIELDS`` declares, when every column of the list
+holds values of exactly its field's type, finite ones for floats; any other
+list takes the generic path, which writes it, or refuses it, as json does.
+Decoding never yields a partial case base; every problem is reported with
+the field path where it was found.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import fields
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Any, NoReturn, Optional
 
 from .cases import (
@@ -129,6 +135,11 @@ _FIELDS = {
 }
 
 
+# The type of the values each checker returns: an outcome row of exactly
+# these types is written from its type's template (_row_template).
+_TYPES = {_str: str, _num: float, _int: int}
+
+
 def _decode_row(cls: type, value: Any, path: str) -> Any:
     obj = _as_dict(value, path)
     return cls(
@@ -177,7 +188,7 @@ def _encode(value: Any, level: int) -> str:
         if _SCALARS.issuperset(map(type, value.values())):
             return "{" + indent + _encoder(level)(value)[1:-1] + close + "}"
         items = [encode_basestring(k) + ": " + _encode(v, level + 1) for k, v in sorted(value.items())]
-        return "{" + indent + ("," + indent).join(items) + close + "}"
+        return _items(items, level, "{}")
     if _SCALARS.issuperset(map(type, value)):
         return "[" + indent + _encoder(level)(value)[1:-1] + close + "]"
     if all(value) and set(map(type, value)) == {dict} and _SCALARS.issuperset(
@@ -188,7 +199,50 @@ def _encode(value: Any, level: int) -> str:
         rows = _encoder(level + 1)(value)[2:-2]
         rows = rows.replace("}," + inner + "{", indent + "}," + indent + "{" + inner)
         return "[" + indent + "{" + inner + rows + indent + "}" + close + "]"
-    return "[" + indent + ("," + indent).join([_encode(v, level + 1) for v in value]) + close + "]"
+    return _items([_encode(v, level + 1) for v in value], level, "[]")
+
+
+def _items(items: list[str], level: int, brackets: str) -> str:
+    """Encoded items in ``brackets``, ``"{}"`` or ``"[]"``, on lines of their
+    own at ``level``, as ``json.dumps(indent=2)`` lays them out."""
+    if not items:
+        return brackets
+    indent = "\n" + "  " * level
+    return brackets[0] + indent + ("," + indent).join(items) + indent[:-2] + brackets[1]
+
+
+@cache
+def _row_template(cls: type, level: int) -> tuple[Any, tuple[type, ...], str]:
+    """How rows of ``cls`` are written at ``level``: a getter of their field
+    values in sorted-name order, those fields' types, and one ``%`` template
+    for a row, its keys in sorted order at their indent, ``%s`` for an
+    encoded string and ``%r`` for a float or an int (``float.__repr__`` and
+    ``int.__repr__``, which json's encoders call)."""
+    names = sorted(_FIELDS[cls])
+    types = tuple(_TYPES[_FIELDS[cls][name]] for name in names)
+    lines = [encode_basestring(name) + (": %s" if t is str else ": %r") for name, t in zip(names, types)]
+    return attrgetter(*names), types, _items(lines, level + 1, "{}")
+
+
+def _encode_rows(cls: type, rows: list, level: int) -> str:
+    """``_encode([vars(row) for row in rows], level)``, from the template of
+    ``cls`` when every row is a ``cls`` and every column holds values of
+    exactly its field's type, finite ones for floats; any other list goes
+    through ``_encode``, which writes it, or refuses it, as json does. The
+    check runs per column, in C: per row it costs what the template saves."""
+    getter, types, template = _row_template(cls, level)
+    if rows and set(map(type, rows)) == {cls}:
+        columns: list[Any] = list(zip(*map(getter, rows)))
+        for j, t in enumerate(types):
+            # A sum is finite only if every term is; one that overflows
+            # merely sends the list to _encode.
+            if set(map(type, columns[j])) != {t} or t is float and not math.isfinite(sum(columns[j])):
+                break
+            if t is str:
+                columns[j] = map(encode_basestring, columns[j])
+        else:
+            return _items([template % row for row in zip(*columns)], level, "[]")
+    return _encode([vars(row) for row in rows], level)
 
 
 def _dump(doc: dict) -> str:
@@ -451,27 +505,34 @@ def encode_case_base(case_base: CaseBase) -> str:
 
 def encode_outcome(outcome: DiagnosisOutcome) -> str:
     """Render a diagnosis outcome deterministically; scores keep full
-    precision so decoding reproduces them exactly."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "mode": outcome.mode.value,
-        "selected_case_id": outcome.selected_case_id,
-        "solution": None if outcome.solution is None else vars(outcome.solution),
-        "corrections_applied": [vars(c) for c in outcome.corrections_applied],
-        "ranking": [
-            {
-                "case_id": sc.case_id,
-                "m_r": sc.m_r,
-                "m_a": sc.m_a,
-                "breakdown_r": [vars(row) for row in sc.breakdown_r],
-                "breakdown_a": None
-                if sc.breakdown_a is None
-                else [vars(row) for row in sc.breakdown_a],
-            }
-            for sc in outcome.ranking
-        ],
-    }
-    return _dump(doc)
+    precision so decoding reproduces them exactly. The document is the one
+    ``_dump`` writes for the outcome's fields and rows, each row as its
+    attribute dict, written item by item in key order; breakdown rows come
+    from their type's template (:func:`_encode_rows`)."""
+
+    def ranked(sc: ScoredCase) -> str:
+        breakdown_a = "null" if sc.breakdown_a is None else _encode_rows(AdaptationTerm, sc.breakdown_a, 4)
+        return _items(
+            [
+                '"breakdown_a": ' + breakdown_a,
+                '"breakdown_r": ' + _encode_rows(LocalScores, sc.breakdown_r, 4),
+                '"case_id": ' + _encode(sc.case_id, 4),
+                '"m_a": ' + _encode(sc.m_a, 4),
+                '"m_r": ' + _encode(sc.m_r, 4),
+            ],
+            3,
+            "{}",
+        )
+
+    items = [
+        '"corrections_applied": ' + _encode([vars(c) for c in outcome.corrections_applied], 2),
+        '"format_version": ' + _encode(FORMAT_VERSION, 2),
+        '"mode": ' + _encode(outcome.mode.value, 2),
+        '"ranking": ' + _items([ranked(sc) for sc in outcome.ranking], 2, "[]"),
+        '"selected_case_id": ' + _encode(outcome.selected_case_id, 2),
+        '"solution": ' + _encode(None if outcome.solution is None else vars(outcome.solution), 2),
+    ]
+    return _items(items, 1, "{}") + "\n"
 
 
 def with_running_sums(rows: list, total_field: str) -> list[dict]:

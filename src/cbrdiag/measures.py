@@ -20,9 +20,10 @@ its records gets its value rules as two functions built side by side from
 the same constants: a value function for one pair, and an adder for a whole
 posting list. One kernel scores one source: it walks the target's records
 against the source's, and builds the source's retrieval rows, its
-adaptation rows, or both, from one value per pair. A pair's value comes
-from the value function, or from :func:`phi_value` on the real descriptors
-when either record is one no value function can score.
+adaptation rows, or both, from one value per pair, or gives its retrieval
+score alone. A pair's value comes from the value function, or from
+:func:`phi_value` on the real descriptors when either record is one no
+value function can score.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
@@ -41,8 +42,12 @@ certain ones in enhanced mode, as the bits two descriptor-id masks share.
 A source holding a record no value function can score (only an unvalidated
 base holds one) takes its score from the kernel instead, and so does every
 source that records the id of such a target record; those kernel calls run
-in id order, so a query raises where and what the kernel raises. Each
-returned source then gets its rows from one kernel call, in ranking order.
+first, in id order, so a query raises where and what the kernel raises.
+The top k come from one pass over the sources with a numerator into a heap
+of at most k (score, -position) pairs, which ranks equal scores in id
+order; a numerator below the lowest score of a full heap is passed over
+before its division. Each returned source then gets its rows from one
+kernel call, in ranking order.
 """
 
 from __future__ import annotations
@@ -349,9 +354,11 @@ def _target_records(target: Case, ctx: ScoringContext, dids: Optional[Iterable[s
     return records
 
 
-# The row kinds the kernel builds, as bits.
+# The row kinds the kernel builds, as bits; _SCORE asks for the retrieval
+# score alone, with no rows.
 _RETRIEVAL = 1
 _ADAPTATION = 2
+_SCORE = 4
 
 
 def _measure(
@@ -363,9 +370,10 @@ def _measure(
     kinds: int,
 ) -> tuple[Optional[RetrievalResult], Optional[AdaptationResult]]:
     """The scoring kernel: the source's retrieval result if ``kinds`` holds
-    ``_RETRIEVAL`` and its adaptation result if it holds ``_ADAPTATION``,
-    from the target's records (as :func:`_target_records` gives them) and
-    the source's records by descriptor id.
+    ``_RETRIEVAL`` (without rows if it holds ``_SCORE`` instead) and its
+    adaptation result if it holds ``_ADAPTATION``, from the target's records
+    (as :func:`_target_records` gives them) and the source's records by
+    descriptor id.
 
     It walks the target's records in id order, each against the source's
     record of its id. A pair takes its value from the target record's value
@@ -377,7 +385,8 @@ def _measure(
     :func:`phi_value` on the real descriptors instead. Sums run over the
     rows in id order.
     """
-    retrieval, adaptation = bool(kinds & _RETRIEVAL), bool(kinds & _ADAPTATION)
+    retrieval, adaptation = bool(kinds & (_RETRIEVAL | _SCORE)), bool(kinds & _ADAPTATION)
+    with_rows = bool(kinds & _RETRIEVAL)
     enhanced = ctx.mode is ScoringMode.ENHANCED
     rows: list[LocalScores] = []
     terms: list[AdaptationTerm] = []
@@ -405,7 +414,8 @@ def _measure(
             om = 1 if t_om == s[4] else 0
             factor = phi if present else 0.0
             product = factor * state * presence * om
-            rows.append(LocalScores(did, factor, state, presence, om, product))
+            if with_rows:
+                rows.append(LocalScores(did, factor, state, presence, om, product))
             numerator += product
             denominator += presence
         if adapted:
@@ -540,17 +550,25 @@ def rank_sources(
     whatever the order within a list: these are the additions the kernel
     makes, in its order, less those of products that are 0, which leave a
     sum that starts at 0.0 as it is. A source that gets no addition scores 0
-    as one that shares nothing. Each numerator is divided by the number of
-    bits the target's mask and the source's share. A source holding an
-    ``_OTHER`` record, and every source that records the id of an ``_OTHER``
-    target record (which has no adder), takes the kernel's score instead; no
+    as one that shares nothing. A source holding an ``_OTHER`` record, and
+    every source that records the id of an ``_OTHER`` target record (which
+    has no adder), takes the kernel's score instead, built without rows; no
     other source can pair with such a record. Only an ``_OTHER`` pair can
-    raise, and these kernel calls run in id order, so a query raises what
-    and where the kernel run on every source in id order would. Sources
-    scoring 0 fill the places left after the positive scores, in id order,
-    and a ``top_k`` past the number of sources returns them all. Only the returned sources get rows,
-    from one kernel call each in ranking order, so that an error an
-    adaptation row raises is the first ranked source's.
+    raise, and these kernel calls run first, in id order, so a query raises
+    what and where the kernel run on every source in id order would.
+
+    Selection keeps a heap of at most ``top_k`` (score, -position) pairs,
+    the worst first: the kernel's scores, then one pass over the numerators
+    in the order they were made. The order is total and ranks equal scores
+    in id order, so no sort is needed. Each numerator is divided by the
+    number of bits the target's mask and the source's share, a count of at
+    least 1, so a score is at most its numerator: a numerator below the
+    lowest score of a full heap is passed over before its count and its
+    division. Sources scoring 0 fill the places left after the positive
+    scores, in id order, and a ``top_k`` past the number of sources returns
+    them all. Only the returned sources get rows, from one kernel call each
+    in ranking order, so that an error an adaptation row raises is the
+    first ranked source's.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
@@ -580,17 +598,28 @@ def rank_sources(
         present_masks = masks[ScoringMode.TYPICAL]
         unscorable = unscorable.union(i for i, mask in enumerate(present_masks) if mask & other_mask)
     source_masks = masks[mode]
-    scores = {
-        i: (
-            _measure(target, records, *sources[i], ctx, _RETRIEVAL)[0].score
-            if i in unscorable
-            else numerators[i] / (target_mask & source_masks[i]).bit_count()
-        )
-        for i in sorted(numerators.keys() | unscorable)
-    }
     top_k = min(top_k, len(sources))
-    # nlargest keeps equal scores in input order, which is case-id order.
-    best = [i for i in heapq.nlargest(top_k, scores, key=scores.__getitem__) if scores[i] > 0]
+    # The kernel's scores come first, in id order; a sorted list is a heap.
+    heap = []
+    for i in sorted(unscorable):
+        numerators.pop(i, None)
+        heap.append((_measure(target, records, *sources[i], ctx, _SCORE)[0].score, -i))
+    heap = sorted(heap)[-top_k:]
+    floor = heap[0][0] if heap and len(heap) == top_k else -math.inf
+    for i, n in numerators.items():
+        # A count of at least 1 gives fl(n / count) <= n.
+        if n < floor:
+            continue
+        score = n / (target_mask & source_masks[i]).bit_count()
+        if score < floor:
+            continue
+        if len(heap) < top_k:
+            heapq.heappush(heap, (score, -i))
+        elif (score, -i) > heap[0]:
+            heapq.heapreplace(heap, (score, -i))
+        if len(heap) == top_k:
+            floor = heap[0][0]
+    best = [-i for score, i in sorted(heap, reverse=True) if score > 0]
     if len(best) < top_k:
         # Every other source scores 0: fill the places left in id order.
         positive = set(best)

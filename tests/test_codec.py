@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from unittest import mock
 
@@ -33,7 +34,7 @@ from cbrdiag import (
 )
 from cbrdiag.cases import FLAG_VALUES
 from cbrdiag.codec import _dump, encode_explanation
-from cbrdiag.measures import AdaptationResult, RetrievalResult
+from cbrdiag.measures import AdaptationResult, AdaptationTerm, LocalScores, RetrievalResult
 from strategies import case_bundles, json_items, single_field_mutations, wide_text
 
 
@@ -416,6 +417,81 @@ def test_outcome_round_trip(bundle):
     text = encode_outcome(outcome)
     assert decode_outcome(text) == outcome
     assert encode_outcome(decode_outcome(text)) == text
+
+
+def _outcome_document(outcome) -> dict:
+    """The outcome document as ``encode_outcome`` builds it for ``_dump``
+    when every row is written through the generic encoder: the reference
+    for the row templates."""
+    return {
+        "format_version": 1,
+        "mode": outcome.mode.value,
+        "selected_case_id": outcome.selected_case_id,
+        "solution": None if outcome.solution is None else vars(outcome.solution),
+        "corrections_applied": [vars(c) for c in outcome.corrections_applied],
+        "ranking": [
+            {
+                "case_id": sc.case_id,
+                "m_r": sc.m_r,
+                "m_a": sc.m_a,
+                "breakdown_r": [vars(row) for row in sc.breakdown_r],
+                "breakdown_a": None if sc.breakdown_a is None else [vars(row) for row in sc.breakdown_a],
+            }
+            for sc in outcome.ranking
+        ],
+    }
+
+
+# Row field values of the declared type, and odd ones of another type, which
+# json writes otherwise (a bool in an int field is true) or refuses (a
+# non-finite float).
+_DECLARED = {"str": _TEXT, "int": st.integers(), "float": st.floats(allow_nan=False, allow_infinity=False)}
+_ODD = {
+    "str": _TEXT,
+    "int": st.booleans(),
+    "float": st.integers() | st.sampled_from([math.nan, math.inf, -math.inf]),
+}
+
+
+@st.composite
+def _rows(draw, cls) -> list:
+    """Rows of ``cls`` of declared values, except that one drawn field, if
+    any, may hold odd ones."""
+    odd = draw(st.none() | st.sampled_from([f.name for f in dataclass_fields(cls)]))
+    values = [
+        _DECLARED[f.type] | _ODD[f.type] if f.name == odd else _DECLARED[f.type] for f in dataclass_fields(cls)
+    ]
+    return draw(st.lists(st.builds(cls, *values), max_size=4))
+
+
+@st.composite
+def _outcomes(draw):
+    """``diagnose`` outcomes of ``case_bundles()``, some of whose breakdown
+    lists are dropped (``breakdown_a``) or replaced by drawn rows."""
+    case_base, target = draw(case_bundles(max_sources=6))
+    outcome = diagnose(target, case_base, top_k=4)
+    ranking = []
+    for sc in outcome.ranking:
+        if draw(st.booleans()):
+            sc = replace(sc, breakdown_r=draw(_rows(LocalScores)))
+        if draw(st.booleans()):
+            sc = replace(sc, breakdown_a=draw(st.none() | _rows(AdaptationTerm)))
+        ranking.append(sc)
+    return replace(outcome, ranking=ranking)
+
+
+# CI also runs this module with json's C encoder switched off.
+@given(_outcomes())
+def test_outcome_rows_encode_as_json_dumps_writes_them(outcome):
+    try:
+        expected = json.dumps(
+            _outcome_document(outcome), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+        )
+    except ValueError:
+        with pytest.raises(ValueError):
+            encode_outcome(outcome)
+    else:
+        assert encode_outcome(outcome) == expected + "\n"
 
 
 def test_taxonomy_violations_surface():

@@ -610,6 +610,34 @@ def test_index_zero_scores_fill_in_id_order():
     assert [len(sc.breakdown_r) for sc in ranking] == [1, 1, 0, 1, 0, 0]
 
 
+# Twelve sources, each recording one of the target's "a" (a1) and "b" (b):
+# s00, s04, s08 record b (1.0); s01, s05, s09 a2 (0.5); s02, s06, s10 a1,
+# uncertain (1.0 in typical mode, 0 in enhanced); s03, s07, s11 a1 (1.0).
+# The target reads "a" first, its certain list before its uncertain one, so
+# the sources tied at 1.0 get their first addition out of id order.
+_TIE_SOURCES = [
+    _index_case(f"s{i:02d}", CaseKind.SOURCE, _sym("b", "b"))
+    if i % 4 == 0
+    else _index_case(f"s{i:02d}", CaseKind.SOURCE, _sym("a", "a2" if i % 4 == 1 else "a1", uncertain=i % 4 == 2))
+    for i in range(12)
+]
+
+
+@pytest.mark.parametrize("state", ["On", "Off"], ids=["ties", "all-zero"])
+@pytest.mark.parametrize("top_k", [1, 2, 3, 5, 8, 9, 11, 12, 20, sys.maxsize + 1])
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_ties_past_top_k_rank_in_id_order(mode, top_k, state):
+    # More sources tie at the k-th score than top_k allows. In state "Off"
+    # the target shares no state with any source, so every score is 0.
+    target = _index_case("t", CaseKind.TARGET, _sym("a", "a1", state=state), _sym("b", "b", state=state))
+    cases = {c.id: c for c in [*_TIE_SOURCES, target]}
+    case_base = CaseBase(taxonomy=_INDEX_TAXONOMY, profiles={}, cases=cases)
+    ranking = retrieve(target, case_base, mode, top_k)
+    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(
+        target, case_base, mode is ScoringMode.ENHANCED, top_k
+    )
+
+
 @pytest.mark.parametrize("mode", list(ScoringMode))
 def test_index_skips_unscorable_sources_that_share_nothing(mode):
     # Unvalidated: s0 holds an unknown label and s3 a numeric without a
