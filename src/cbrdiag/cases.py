@@ -149,11 +149,13 @@ class CaseBase:
     operating mode, and per source a bitmask of its descriptor ids (one of
     all of them, one of its certain ones), and keeps them all. A query adds
     up its scores from the posting lists that match its target's
-    descriptors, since a pair whose state or mode disagrees adds 0; a source
-    holding a value that validation would reject, or recording the id of
-    one the target holds, is scored from its records instead. Each returned
-    source's records are read once more, one source at a time, for its
-    breakdown rows. Neither the case base nor the mappings it holds may be
+    descriptors, since a pair whose state or mode disagrees adds 0. Each
+    returned source's records are read once more, one source at a time, for
+    its breakdown rows. A base whose sources hold a value that
+    :func:`validate_case` rejects is refused at that first compile, and at
+    every query after it, with a ``DocumentValidationError`` carrying those
+    sources' violations; so is a target holding one, after the base.
+    Neither the case base nor the mappings it holds may be
     mutated afterwards; build a new one instead (``dataclasses.replace``
     starts with nothing compiled).
     Concurrent first queries compile it once, under a lock; concurrent first
@@ -209,12 +211,14 @@ def validate_case(
 ) -> list[str]:
     """Report the case's violations against a taxonomy and profile registry.
 
-    Checks: symbolic labels (including a solution's failing component) must
-    resolve to taxonomy nodes; every numeric descriptor must have a fuzzy
-    profile and a magnitude inside that profile's domain; descriptor map keys
-    must match descriptor ids. Cases that pass against the same taxonomy and
-    profiles score against each other in either mode without raising. An
-    empty report means the case is valid; callers decide severity.
+    Checks: every descriptor value must be symbolic or numeric; symbolic
+    labels (including a solution's failing component) must resolve to
+    taxonomy nodes; every numeric descriptor must have a fuzzy profile and a
+    magnitude inside that profile's domain; descriptor map keys must match
+    descriptor ids. Cases that pass against the same taxonomy and profiles
+    score against each other in either mode without raising; scoring
+    refuses a descriptor value this reports. An empty report means the case
+    is valid; callers decide severity.
     """
     violations: list[str] = []
     for key in sorted(case.descriptors):
@@ -234,6 +238,8 @@ def validate_case(
                     profile.check_domain(d.value.magnitude)
                 except FuzzyDomainError as exc:
                     violations.append(f"{case.id}/{key}: {exc}")
+        else:
+            violations.append(f"{case.id}/{key}: value {d.value!r} is neither symbolic nor numeric")
     if case.solution is not None and not taxonomy.contains(case.solution.failing_component):
         violations.append(
             f"{case.id}/solution: unknown taxonomy label {case.solution.failing_component!r}"

@@ -51,7 +51,9 @@ class DocumentSyntaxError(CbrError):
 
 
 class DocumentValidationError(CbrError):
-    """A structurally well-formed document violates semantic constraints.
+    """A structurally well-formed document violates semantic constraints,
+    or a case base or target built in code holds a value that scoring
+    refuses.
 
     Carries every violation found, each prefixed with the field path
     where it was detected.

@@ -20,10 +20,17 @@ its records gets its value rules as two functions built side by side from
 the same constants: a value function for one pair, and an adder for a whole
 posting list. One kernel scores one source: it walks the target's records
 against the source's, and builds the source's retrieval rows, its
-adaptation rows, or both, from one value per pair, or gives its retrieval
-score alone. A pair's value comes from the value function, or from
-:func:`phi_value` on the real descriptors when either record is one no
-value function can score.
+adaptation rows, or both, from one value per pair, which comes from the
+value function.
+
+Scoring accepts only values that :func:`validate_case` accepts: a label of
+the taxonomy, or a numeric with a profile and a finite magnitude inside its
+domain. Compiling a case base, a target, or the shared descriptors of the
+two cases a public measure compares refuses any other value before the
+first score, with a ``DocumentValidationError`` that carries
+:func:`validate_case`'s path-tagged violations of the refused cases. A
+query compiles its base before its target, so a refused base is reported
+first, and stays uncompiled.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
@@ -39,10 +46,6 @@ typical mode, in one loop, and adds each value that is not 0 to its
 source's numerator. Labels compare by one bisection of the target label's
 ancestor bounds per record. The denominator counts co-present descriptors,
 certain ones in enhanced mode, as the bits two descriptor-id masks share.
-A source holding a record no value function can score (only an unvalidated
-base holds one) takes its score from the kernel instead, and so does every
-source that records the id of such a target record; those kernel calls run
-first, in id order, so a query raises where and what the kernel raises.
 The top k come from one pass over the sources with a numerator into a heap
 of at most k (score, -position) pairs, which ranks equal scores in id
 order; a numerator below the lowest score of a full heap is passed over
@@ -63,10 +66,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .cases import AlignmentPair, Case, CaseBase, Descriptor, NumericValue, OperatingMode, SymbolicValue
-from .cases import _collector_paused
-from .errors import MissingProfileError
-from .fuzzy import FuzzyProfile, classify_subset, same_class
+from .cases import Case, CaseBase, Descriptor, NumericValue, OperatingMode, SymbolicValue
+from .cases import _collector_paused, validate_case
+from .errors import DocumentValidationError
+from .fuzzy import FuzzyProfile, classify_subset
 from .taxonomy import Taxonomy
 
 
@@ -158,57 +161,10 @@ def lambda_weight(target_mode: OperatingMode, source_mode: OperatingMode) -> int
     return _weight(target_mode.value, source_mode.value)
 
 
-def phi_value(
-    pair: AlignmentPair,
-    taxonomy: Taxonomy,
-    profile: Optional[FuzzyProfile],
-    mode: ScoringMode,
-) -> float:
-    """Value closeness in [0, 1].
-
-    Symbolic labels use the taxonomy's depth-ratio similarity in both modes.
-    Numerics with matching units: identical magnitudes score 1; otherwise
-    enhanced mode asks the fuzzy profile for class equality and typical mode
-    measures linear distance over the profile's domain span (exact equality
-    when no profile is registered). Mismatched kinds or units score 0.
-    """
-    tv, sv = pair.target.value, pair.source.value
-    if isinstance(tv, SymbolicValue) and isinstance(sv, SymbolicValue):
-        return taxonomy.value_similarity(tv.label, sv.label)
-    if isinstance(tv, NumericValue) and isinstance(sv, NumericValue):
-        if tv.unit != sv.unit:
-            return 0.0
-        x, y = tv.magnitude, sv.magnitude
-        if x == y:
-            return 1.0
-        if mode is ScoringMode.ENHANCED:
-            if profile is None:
-                raise MissingProfileError(pair.descriptor_id)
-            return 1.0 if same_class(x, y, profile) else 0.0
-        if profile is None:
-            return 0.0
-        return _linear_closeness(x, y, profile)
-    return 0.0
-
-
-def _linear_closeness(x: float, y: float, profile: FuzzyProfile) -> float:
-    """Typical-mode closeness of two unequal magnitudes: linear distance over
-    the profile's domain span, clamped to [0, 1].
-
-    Magnitudes of an unvalidated base may lie outside the domain or be NaN,
-    hence the clamp; :func:`_valuer` scores in-domain ones without it.
-    """
-    span = profile.domain_upper - profile.domain_lower
-    if span <= 0:
-        return 0.0
-    # max first: max(0.0, nan) is 0.0, while min(1.0, nan) is 1.0.
-    return min(1.0, max(0.0, 1.0 - abs(x - y) / span))
-
-
-# Record kinds. An _OTHER record is one a value function cannot score
-# (an unknown label, a numeric without a profile, outside its domain or not
-# finite, or an unknown value type): its pairs go through phi_value on the
-# real descriptors, so they return or raise exactly what phi_value does.
+# Record kinds. An _OTHER record holds a value validate_case rejects (an
+# unknown label, a numeric without a profile, outside its domain or not
+# finite, or a value of neither type), which no value function can score:
+# compiling one refuses its case (_refusal).
 _SYMBOLIC = "symbolic"
 _NUMERIC = "numeric"
 _OTHER = "other"
@@ -219,7 +175,8 @@ def _record(
 ) -> tuple:
     """A descriptor's scoring record: (kind, label or magnitude, unit,
     casefolded state, operating-mode code, uncertain flag, fuzzy subset
-    label, source position).
+    label, source position). The kind is ``_OTHER``, with no value, for a
+    value that validation rejects; callers refuse such a record's case.
 
     Records hold only strings, numbers, booleans and None, so the garbage
     collector can stop tracking them: a compiled case base adds little to
@@ -249,8 +206,7 @@ def _columns(records: list[tuple], taxonomy: Taxonomy) -> tuple[tuple, tuple]:
     symbolic records' source positions and their labels' pre-order
     positions and depths (:meth:`Taxonomy._coordinates`), and the numeric
     records' source positions, magnitudes, units and subset labels. Each is
-    a tuple of columns, empty when no record is of its kind; ``_OTHER``
-    records are in neither."""
+    a tuple of columns, empty when no record is of its kind."""
     coordinates = taxonomy._coordinates
     symbolic = [(s[7], *coordinates(s[1])) for s in records if s[0] is _SYMBOLIC]
     numeric = [(s[7], s[1], s[2], s[6]) for s in records if s[0] is _NUMERIC]
@@ -259,24 +215,24 @@ def _columns(records: list[tuple], taxonomy: Taxonomy) -> tuple[tuple, tuple]:
 
 def _valuer(
     t: tuple, profile: Optional[FuzzyProfile], enhanced: bool, taxonomy: Taxonomy
-) -> tuple[Optional[Callable], Optional[Callable]]:
-    """The value rules of a target record, as two functions built from the
-    same constants: the value function, the value factor of the record and a
-    source record, neither ``_OTHER``, as :func:`phi_value` gives it for
-    their descriptors; and the adder, which adds the value of every record
+) -> tuple[Callable, Callable]:
+    """The value rules of a target record that is not ``_OTHER``, as two
+    functions built from the same constants: the value function, the value
+    factor in [0, 1] of the record and a source record that is not
+    ``_OTHER`` either; and the adder, which adds the value of every record
     of a posting list's columns (:func:`_columns`) whose value is not 0 to
     the plain dict ``numerators``, at the record's source position, as
     ``numerators[p] = get(p, 0.0) + v`` with ``get`` bound once per call
-    (cheaper than a ``defaultdict``'s ``+=``, and the same float). Both None
-    for an ``_OTHER`` target record.
+    (cheaper than a ``defaultdict``'s ``+=``, and the same float).
 
-    Kinds must match, and units for numerics. Labels take the taxonomy's
-    similarity from their coordinates: 1 for equal labels, otherwise twice
-    the depth of their lowest common ancestor (:meth:`Taxonomy._ancestry`)
-    over the sum of their depths, which is 1 for equal labels below the
-    root too, so the adder tests equality only at the root. Equal
-    magnitudes score 1; otherwise enhanced mode compares fuzzy subsets and
-    typical mode takes the linear closeness over the domain span.
+    Kinds must match, and units for numerics; a mismatch scores 0. Labels
+    take the taxonomy's similarity from their coordinates: 1 for equal
+    labels, otherwise twice the depth of their lowest common ancestor
+    (:meth:`Taxonomy._ancestry`) over the sum of their depths, which is 1
+    for equal labels below the root too, so the adder tests equality only at
+    the root; both modes alike. Equal magnitudes score 1; otherwise enhanced
+    mode compares fuzzy subsets and typical mode takes the linear closeness
+    over the profile's domain span.
     """
     kind, key, unit, _, _, _, subset, _ = t
     if kind is _SYMBOLIC:
@@ -302,8 +258,6 @@ def _valuer(
             return twice[bisect_right(bounds, f)] / (depth + d)
 
         return value, add
-    if kind is not _NUMERIC:
-        return None, None
     if enhanced:
 
         def add(columns: tuple, numerators: dict) -> None:
@@ -319,10 +273,10 @@ def _valuer(
                 else 0.0
             )
         ), add
-    # No clamp, unlike _linear_closeness: both magnitudes are finite and in
-    # the domain, so |x - y| <= span holds after rounding too (rounding is
-    # monotone), and the span is finite. It is 0 only for a one-point domain,
-    # whose magnitudes are all equal.
+    # No clamp: both magnitudes are finite and in the domain, so
+    # |x - y| <= span holds after rounding too (rounding is monotone), and
+    # the span is finite. It is 0 only for a one-point domain, whose
+    # magnitudes are all equal.
     span = profile.domain_upper - profile.domain_lower
 
     def add(columns: tuple, numerators: dict) -> None:
@@ -340,40 +294,45 @@ def _valuer(
     ), add
 
 
+def _refusal(
+    cases: Iterable[Case], taxonomy: Taxonomy, profiles: Mapping[str, FuzzyProfile]
+) -> DocumentValidationError:
+    """The error that refuses ``cases``, each holding an ``_OTHER`` record:
+    :func:`validate_case`'s path-tagged violations of each, in order. It
+    reports every value an ``_OTHER`` record holds, so the list is never
+    empty."""
+    return DocumentValidationError([v for case in cases for v in validate_case(case, taxonomy, profiles)])
+
+
 def _target_records(target: Case, ctx: ScoringContext, dids: Optional[Iterable[str]] = None) -> list[tuple]:
     """The target's records of ``dids`` (all its descriptors by default) in
     id order, each as (id, casefolded state, operating-mode code, uncertain
     flag, value function, adder), the last two in ``ctx.mode``
-    (:func:`_valuer`) and None for an ``_OTHER`` record."""
+    (:func:`_valuer`). An ``_OTHER`` record among them refuses the target
+    (:func:`_refusal`) before any score."""
     records = []
     enhanced = ctx.mode is ScoringMode.ENHANCED
     for did in sorted(target.descriptors if dids is None else dids):
         profile = ctx.profiles.get(did)
         record = _record(target.descriptors[did], ctx.taxonomy, profile)
+        if record[0] is _OTHER:
+            raise _refusal([target], ctx.taxonomy, ctx.profiles)
         records.append((did, *record[3:6], *_valuer(record, profile, enhanced, ctx.taxonomy)))
     return records
 
 
-# The row kinds the kernel builds, as bits; _SCORE asks for the retrieval
-# score alone, with no rows.
+# The row kinds the kernel builds, as bits.
 _RETRIEVAL = 1
 _ADAPTATION = 2
-_SCORE = 4
 
 
 def _measure(
-    target: Case,
-    target_records: list[tuple],
-    source: Case,
-    records: Mapping[str, tuple],
-    ctx: ScoringContext,
-    kinds: int,
+    target_records: list[tuple], records: Mapping[str, tuple], ctx: ScoringContext, kinds: int
 ) -> tuple[Optional[RetrievalResult], Optional[AdaptationResult]]:
     """The scoring kernel: the source's retrieval result if ``kinds`` holds
-    ``_RETRIEVAL`` (without rows if it holds ``_SCORE`` instead) and its
-    adaptation result if it holds ``_ADAPTATION``, from the target's records
-    (as :func:`_target_records` gives them) and the source's records by
-    descriptor id.
+    ``_RETRIEVAL`` and its adaptation result if it holds ``_ADAPTATION``,
+    from the target's records (as :func:`_target_records` gives them) and
+    the source's records by descriptor id, none of them ``_OTHER``.
 
     It walks the target's records in id order, each against the source's
     record of its id. A pair takes its value from the target record's value
@@ -381,12 +340,9 @@ def _measure(
     value of a pair present in ``ctx.mode``, an adaptation row that of a
     pair whose operating modes are not both unspecified. Adaptation values
     are always enhanced, so adaptation rows are asked for only with an
-    enhanced ``ctx``. An ``_OTHER`` record on either side sends its pair to
-    :func:`phi_value` on the real descriptors instead. Sums run over the
-    rows in id order.
+    enhanced ``ctx``. Sums run over the rows in id order.
     """
-    retrieval, adaptation = bool(kinds & (_RETRIEVAL | _SCORE)), bool(kinds & _ADAPTATION)
-    with_rows = bool(kinds & _RETRIEVAL)
+    retrieval, adaptation = bool(kinds & _RETRIEVAL), bool(kinds & _ADAPTATION)
     enhanced = ctx.mode is ScoringMode.ENHANCED
     rows: list[LocalScores] = []
     terms: list[AdaptationTerm] = []
@@ -401,9 +357,6 @@ def _measure(
         adapted = adaptation and (t_om != _UNSPECIFIED or s[4] != _UNSPECIFIED)
         if not (present or adapted):
             phi = 0.0
-        elif value is None or s[0] is _OTHER:
-            pair = AlignmentPair(did, target.descriptors[did], source.descriptors[did])
-            phi = phi_value(pair, ctx.taxonomy, ctx.profiles.get(did), ctx.mode)
         else:
             phi = value(s)
         if retrieval:
@@ -414,8 +367,7 @@ def _measure(
             om = 1 if t_om == s[4] else 0
             factor = phi if present else 0.0
             product = factor * state * presence * om
-            if with_rows:
-                rows.append(LocalScores(did, factor, state, presence, om, product))
+            rows.append(LocalScores(did, factor, state, presence, om, product))
             numerator += product
             denominator += presence
         if adapted:
@@ -431,10 +383,14 @@ def _measure(
 
 def _measure_one(target: Case, source: Case, ctx: ScoringContext, kinds: int) -> tuple:
     """The kernel on one source, compiling only the descriptors both cases
-    record, the only ones it reads."""
+    record, the only ones it reads. An ``_OTHER`` record among them refuses
+    its case before any score, the source's first, as a query compiles its
+    base before its target."""
     shared = target.descriptors.keys() & source.descriptors.keys()
     records = {did: _record(source.descriptors[did], ctx.taxonomy, ctx.profiles.get(did)) for did in shared}
-    return _measure(target, _target_records(target, ctx, shared), source, records, ctx, kinds)
+    if any(s[0] is _OTHER for s in records.values()):
+        raise _refusal([source], ctx.taxonomy, ctx.profiles)
+    return _measure(_target_records(target, ctx, shared), records, ctx, kinds)
 
 
 def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> RetrievalResult:
@@ -444,7 +400,9 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     presence factor contributes zero to both sums and its value factor is
     reported as 0 without being evaluated, so enhanced scoring is exactly
     equivalent to deleting the uncertain descriptors up front. With nothing
-    co-present the source is incomparable and scores 0.
+    co-present the source is incomparable and scores 0. A co-present
+    descriptor holding a value :func:`validate_case` rejects, on either
+    side, raises ``DocumentValidationError`` with that case's violations.
     """
     return _measure_one(target, source, ctx, _RETRIEVAL)[0]
 
@@ -457,7 +415,8 @@ def adaptation_measure(target: Case, source: Case, ctx: ScoringContext) -> Adapt
     from pointing at a failing component), each weighted by
     :func:`lambda_weight`; 0 with no such descriptor. Values compare as in
     enhanced mode whatever ``ctx.mode`` says, so callers pass the target
-    corrected (the pipeline always does).
+    corrected (the pipeline always does). Invalid values are refused as in
+    :func:`retrieval_measure`.
     """
     if ctx.mode is not ScoringMode.ENHANCED:
         ctx = ScoringContext(taxonomy=ctx.taxonomy, profiles=ctx.profiles)
@@ -486,9 +445,12 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
       so that a query pays only for the lists it reads;
     - one bit per descriptor id;
     - per scoring mode, one mask per source of the ids that count toward its
-      denominator: its certain ids in enhanced mode, all of them in typical;
-    - the positions of the sources holding an ``_OTHER`` record, which
-      :func:`rank_sources` scores with the kernel.
+      denominator: its certain ids in enhanced mode, all of them in typical.
+
+    Sources holding an ``_OTHER`` record refuse the base (:func:`_refusal`,
+    in id order): the error leaves through the lock and the collector pause,
+    which both restore their state, and nothing is cached, so every later
+    query is refused alike.
     """
     compiled = case_base._compiled
     if compiled is not None:
@@ -503,7 +465,7 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
         bits: dict[str, int] = {}
         certain_masks = []
         present_masks = []
-        unscorable = set()
+        refused = {}
         with _collector_paused():
             for position, source in enumerate(case_base.sources()):
                 records = {}
@@ -518,16 +480,17 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
                         certain |= bit
                     postings[did, record[3], record[4], record[5]].append(record)
                     if record[0] is _OTHER:
-                        unscorable.add(position)
+                        refused[position] = source
                 sources.append((source, records))
                 certain_masks.append(certain)
                 present_masks.append(present)
+            if refused:
+                raise _refusal(refused.values(), taxonomy, profiles)
             compiled = (
                 tuple(sources),
                 dict(postings),
                 bits,
                 {ScoringMode.ENHANCED: certain_masks, ScoringMode.TYPICAL: present_masks},
-                frozenset(unscorable),
             )
         object.__setattr__(case_base, "_compiled", compiled)
         return compiled
@@ -538,6 +501,10 @@ def rank_sources(
 ) -> list[tuple[Case, Optional[RetrievalResult], Optional[AdaptationResult]]]:
     """The ``top_k`` best sources by retrieval score, ties broken by case id,
     each with the results of the row ``kinds`` the kernel gives them.
+
+    The base compiles first (:func:`_compiled_sources`), then the target
+    (:func:`_target_records`); either refuses a value validation rejects,
+    the base's first, before any score.
 
     Scores accumulate term-at-a-time: each of the target's descriptors, in id
     order and leaving out uncertain ones in enhanced mode, hands the columns
@@ -550,37 +517,27 @@ def rank_sources(
     whatever the order within a list: these are the additions the kernel
     makes, in its order, less those of products that are 0, which leave a
     sum that starts at 0.0 as it is. A source that gets no addition scores 0
-    as one that shares nothing. A source holding an ``_OTHER`` record, and
-    every source that records the id of an ``_OTHER`` target record (which
-    has no adder), takes the kernel's score instead, built without rows; no
-    other source can pair with such a record. Only an ``_OTHER`` pair can
-    raise, and these kernel calls run first, in id order, so a query raises
-    what and where the kernel run on every source in id order would.
+    as one that shares nothing.
 
     Selection keeps a heap of at most ``top_k`` (score, -position) pairs,
-    the worst first: the kernel's scores, then one pass over the numerators
-    in the order they were made. The order is total and ranks equal scores
-    in id order, so no sort is needed. Each numerator is divided by the
-    number of bits the target's mask and the source's share, a count of at
-    least 1, so a score is at most its numerator: a numerator below the
-    lowest score of a full heap is passed over before its count and its
-    division. Sources scoring 0 fill the places left after the positive
-    scores, in id order, and a ``top_k`` past the number of sources returns
-    them all. Only the returned sources get rows, from one kernel call each
-    in ranking order, so that an error an adaptation row raises is the
-    first ranked source's.
+    the worst first, filled in one pass over the numerators in the order
+    they were made. The order is total and ranks equal scores in id order,
+    so no sort is needed. Each numerator is divided by the number of bits
+    the target's mask and the source's share, a count of at least 1, so a
+    score is at most its numerator: a numerator below the lowest score of a
+    full heap is passed over before its count and its division. Sources
+    scoring 0 fill the places left after the positive scores, in id order,
+    and a ``top_k`` past the number of sources returns them all. Only the
+    returned sources get rows, from one kernel call each in ranking order.
     """
     ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
     enhanced = mode is ScoringMode.ENHANCED
-    sources, postings, bits, masks, unscorable = _compiled_sources(case_base)
+    sources, postings, bits, masks = _compiled_sources(case_base)
     records = _target_records(target, ctx)
     numerators: dict[int, float] = {}
-    target_mask = other_mask = 0
+    target_mask = 0
     uncertain_flags = (False,) if enhanced else (False, True)
     for did, t_state, t_om, t_uncertain, _, add in records:
-        if add is None:
-            other_mask |= bits.get(did, 0)
-            continue
         if enhanced and t_uncertain:
             continue
         target_mask |= bits.get(did, 0)
@@ -592,20 +549,10 @@ def rank_sources(
                 columns = postings[key] = _columns(columns, ctx.taxonomy)
             if columns is not None:
                 add(columns, numerators)
-    if other_mask:
-        # Only the sources that record one of the ids of the target's
-        # _OTHER records can pair with them.
-        present_masks = masks[ScoringMode.TYPICAL]
-        unscorable = unscorable.union(i for i, mask in enumerate(present_masks) if mask & other_mask)
     source_masks = masks[mode]
     top_k = min(top_k, len(sources))
-    # The kernel's scores come first, in id order; a sorted list is a heap.
     heap = []
-    for i in sorted(unscorable):
-        numerators.pop(i, None)
-        heap.append((_measure(target, records, *sources[i], ctx, _SCORE)[0].score, -i))
-    heap = sorted(heap)[-top_k:]
-    floor = heap[0][0] if heap and len(heap) == top_k else -math.inf
+    floor = -math.inf
     for i, n in numerators.items():
         # A count of at least 1 gives fl(n / count) <= n.
         if n < floor:
@@ -624,4 +571,4 @@ def rank_sources(
         # Every other source scores 0: fill the places left in id order.
         positive = set(best)
         best += itertools.islice((i for i in range(len(sources)) if i not in positive), top_k - len(best))
-    return [(sources[i][0], *_measure(target, records, *sources[i], ctx, kinds)) for i in best]
+    return [(sources[i][0], *_measure(records, sources[i][1], ctx, kinds)) for i in best]

@@ -109,7 +109,9 @@ def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -
 
     Sources are ordered by descending retrieval score, ties broken by case id.
     In enhanced mode the target is corrected first. An empty case base gives
-    an empty list.
+    an empty list. A case base or target holding a value that
+    :func:`validate_case` rejects raises ``DocumentValidationError`` before
+    any score; so does :func:`diagnose`.
     """
     return _retrieve(target, case_base, mode, top_k).ranking
 

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given
 
 from cbrdiag import (
     Case,
+    CaseBase,
     CaseKind,
     Descriptor,
+    DocumentValidationError,
     ImperfectionFlags,
     NumericValue,
+    ScoringMode,
     SymbolicValue,
     Taxonomy,
     align,
+    retrieve,
     validate_case,
 )
 from strategies import case_bundles
@@ -123,6 +128,27 @@ def test_validate_descriptor_key_mismatch():
     )
     report = validate_case(case, taxonomy, {})
     assert any("does not match" in line for line in report)
+
+
+def test_validate_value_of_neither_kind():
+    # A descriptor built in code may hold any object: validation reports
+    # one that is neither symbolic nor numeric, and retrieval refuses it
+    # with that violation, in the base or in the target.
+    taxonomy = Taxonomy([("root", None)])
+    odd = Descriptor(id="d", name="d", value="oops")
+    fine = Descriptor(id="d", name="d", value=SymbolicValue(label="root"))
+    odd_source = Case(id="s", kind=CaseKind.SOURCE, descriptors={"d": odd})
+    odd_target = Case(id="t", kind=CaseKind.TARGET, descriptors={"d": odd})
+    assert validate_case(odd_source, taxonomy, {}) == ["s/d: value 'oops' is neither symbolic nor numeric"]
+    base = CaseBase(taxonomy=taxonomy, cases={"s": odd_source})
+    valid = CaseBase(taxonomy=taxonomy, cases={"s": replace(odd_source, descriptors={"d": fine})})
+    for mode in ScoringMode:
+        with pytest.raises(DocumentValidationError) as err:
+            retrieve(replace(odd_target, descriptors={"d": fine}), base, mode, 1)
+        assert err.value.violations == ["s/d: value 'oops' is neither symbolic nor numeric"]
+        with pytest.raises(DocumentValidationError) as err:
+            retrieve(odd_target, valid, mode, 1)
+        assert err.value.violations == ["t/d: value 'oops' is neither symbolic nor numeric"]
 
 
 def test_case_base_split(engine_case_base):

@@ -5,6 +5,7 @@ import inspect
 import math
 import sys
 from dataclasses import replace
+from typing import Optional
 
 import pytest
 from hypothesis import given
@@ -15,10 +16,10 @@ from cbrdiag import (
     Case,
     CaseKind,
     Descriptor,
+    DocumentValidationError,
     FuzzyProfile,
     ImperfectionFlags,
     LocalScores,
-    MissingProfileError,
     NumericValue,
     OperatingMode,
     ScoringContext,
@@ -27,12 +28,24 @@ from cbrdiag import (
     Taxonomy,
     retrieval_measure,
 )
-from cbrdiag.measures import _columns, _compiled_sources, _target_records, phi_value
+from cbrdiag.measures import _columns, _compiled_sources, _record, _target_records
+from naive_reference import naive_phi_value
 from strategies import case_bundles, clean_cases
 
 
 def make_pair(target: Descriptor, source: Descriptor) -> AlignmentPair:
     return AlignmentPair(descriptor_id=target.id, target=target, source=source)
+
+
+def value_function(
+    pair: AlignmentPair, taxonomy: Taxonomy, profile: Optional[FuzzyProfile], mode: ScoringMode
+) -> float:
+    """The pair's value factor: the value function that _target_records
+    builds for the target descriptor, on the source descriptor's record."""
+    profiles = {} if profile is None else {pair.descriptor_id: profile}
+    target = Case(id="t", kind=CaseKind.TARGET, descriptors={pair.descriptor_id: pair.target})
+    ((*_, value, _),) = _target_records(target, ScoringContext(taxonomy=taxonomy, profiles=profiles, mode=mode))
+    return value(_record(pair.source, taxonomy, profile))
 
 
 def sym(did: str, label: str, **kwargs) -> Descriptor:
@@ -108,49 +121,58 @@ def test_phi_om_cases():
 
 def test_phi_value_symbolic_uses_taxonomy(engine_case_base):
     pair = make_pair(sym("d", "Turbo comp."), sym("d", "Comp."))
-    value = phi_value(pair, engine_case_base.taxonomy, None, ScoringMode.TYPICAL)
+    value = value_function(pair, engine_case_base.taxonomy, None, ScoringMode.TYPICAL)
     assert value == 0.8
-    assert value == phi_value(pair, engine_case_base.taxonomy, None, ScoringMode.ENHANCED)
+    assert value == value_function(pair, engine_case_base.taxonomy, None, ScoringMode.ENHANCED)
 
 
 def test_phi_value_numeric_typical_linear(engine_case_base):
     pair = make_pair(num("ds3", 95.0), num("ds3", 100.0))
     profile = engine_case_base.profiles["ds3"]
-    assert phi_value(pair, engine_case_base.taxonomy, profile, ScoringMode.TYPICAL) == 0.95
+    assert value_function(pair, engine_case_base.taxonomy, profile, ScoringMode.TYPICAL) == 0.95
 
 
 def test_phi_value_numeric_enhanced_class_equality(engine_case_base):
     profile = engine_case_base.profiles["ds3"]
     taxonomy = engine_case_base.taxonomy
     same = make_pair(num("ds3", 95.0), num("ds3", 100.0))
-    assert phi_value(same, taxonomy, profile, ScoringMode.ENHANCED) == 1.0
+    assert value_function(same, taxonomy, profile, ScoringMode.ENHANCED) == 1.0
     split = make_pair(num("ds3", 70.0), num("ds3", 95.0))
-    assert phi_value(split, taxonomy, profile, ScoringMode.ENHANCED) == 0.0
+    assert value_function(split, taxonomy, profile, ScoringMode.ENHANCED) == 0.0
 
 
 def test_phi_value_identical_magnitudes_without_class(engine_case_base):
     # 30 falls in no subset, but identical readings always agree
     profile = engine_case_base.profiles["ds3"]
     pair = make_pair(num("ds3", 30.0), num("ds3", 30.0))
-    assert phi_value(pair, engine_case_base.taxonomy, profile, ScoringMode.ENHANCED) == 1.0
+    assert value_function(pair, engine_case_base.taxonomy, profile, ScoringMode.ENHANCED) == 1.0
 
 
 def test_phi_value_unit_mismatch_scores_zero(engine_case_base):
     pair = make_pair(num("ds3", 95.0, unit="°C"), num("ds3", 95.0, unit="°F"))
     profile = engine_case_base.profiles["ds3"]
-    assert phi_value(pair, engine_case_base.taxonomy, profile, ScoringMode.ENHANCED) == 0.0
-    assert phi_value(pair, engine_case_base.taxonomy, profile, ScoringMode.TYPICAL) == 0.0
+    assert value_function(pair, engine_case_base.taxonomy, profile, ScoringMode.ENHANCED) == 0.0
+    assert value_function(pair, engine_case_base.taxonomy, profile, ScoringMode.TYPICAL) == 0.0
 
 
 def test_phi_value_kind_mismatch_scores_zero(engine_case_base):
+    # A numeric scores only with a profile, so "d" takes ds3's; either side
+    # may hold the label.
+    profile = engine_case_base.profiles["ds3"]
     pair = make_pair(num("d", 95.0), sym("d", "works"))
-    assert phi_value(pair, engine_case_base.taxonomy, None, ScoringMode.TYPICAL) == 0.0
+    flipped = make_pair(sym("d", "works"), num("d", 95.0))
+    for mode in ScoringMode:
+        assert value_function(pair, engine_case_base.taxonomy, profile, mode) == 0.0
+        assert value_function(flipped, engine_case_base.taxonomy, profile, mode) == 0.0
 
 
 def test_phi_value_enhanced_numeric_requires_profile(engine_case_base):
+    # Without a profile the target's numeric is refused before any value.
     pair = make_pair(num("dX", 10.0, unit="u"), num("dX", 20.0, unit="u"))
-    with pytest.raises(MissingProfileError):
-        phi_value(pair, engine_case_base.taxonomy, None, ScoringMode.ENHANCED)
+    for mode in ScoringMode:
+        with pytest.raises(DocumentValidationError) as err:
+            value_function(pair, engine_case_base.taxonomy, None, mode)
+        assert err.value.violations == ["t/dX: numeric descriptor has no fuzzy profile"]
 
 
 def ctx(case_base, mode: ScoringMode) -> ScoringContext:
@@ -258,25 +280,25 @@ def test_breakdown_products_consistent(bundle):
 @given(case_bundles(min_sources=1))
 def test_adders_add_each_pairs_phi_value(bundle):
     # Every posting list a target reads, as rank_sources reads it: the adder
-    # adds exactly phi_value of each pair to its source and leaves out only
-    # pairs whose value is 0; the value function gives the same values.
+    # adds exactly the reference's value factor of each pair to its source
+    # and leaves out only pairs whose value is 0; the value function gives
+    # the same values.
     case_base, target = bundle
-    sources, postings, _, _, unscorable = _compiled_sources(case_base)
-    assert not unscorable  # a validated base
+    sources, postings, _, _ = _compiled_sources(case_base)
     for mode in ScoringMode:
+        enhanced = mode is ScoringMode.ENHANCED
         for did, state, om, uncertain, value, add in _target_records(target, ctx(case_base, mode)):
-            assert value is not None
-            if mode is ScoringMode.ENHANCED and uncertain:
+            if enhanced and uncertain:
                 continue
-            for flag in (False,) if mode is ScoringMode.ENHANCED else (False, True):
+            for flag in (False,) if enhanced else (False, True):
                 records = postings.get((did, state, om, flag), [])
                 numerators = {}
                 add(_columns(records, case_base.taxonomy), numerators)
                 expected = {}
                 for s in records:
                     source = sources[s[7]][0]
-                    pair = AlignmentPair(did, target.descriptors[did], source.descriptors[did])
-                    phi = phi_value(pair, case_base.taxonomy, case_base.profiles.get(did), mode)
+                    t_value, s_value = target.descriptors[did].value, source.descriptors[did].value
+                    phi = naive_phi_value(case_base.taxonomy, case_base.profiles.get(did), t_value, s_value, enhanced)
                     assert value(s).hex() == phi.hex()
                     if phi != 0:
                         expected[s[7]] = phi.hex()

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import random
+import re
 import sys
 import threading
 from dataclasses import replace
+from typing import Callable, Iterator
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -29,7 +34,6 @@ from cbrdiag import (
     Solution,
     SymbolicValue,
     Taxonomy,
-    UnknownLabelError,
     adaptation_measure,
     decode_case_base,
     diagnose,
@@ -285,73 +289,61 @@ def _hex_rows(rows: list) -> list[tuple]:
     return [tuple(v.hex() if isinstance(v, float) else v for v in vars(row).values()) for row in rows]
 
 
-_UNSCORABLE = (UnknownLabelError, MissingProfileError, FuzzyDomainError)
+def _violations(case_base: CaseBase, *cases: Case) -> list[str]:
+    """validate_case's violations of each of ``cases``, in order."""
+    return [v for case in cases for v in validate_case(case, case_base.taxonomy, case_base.profiles)]
+
+
+@contextlib.contextmanager
+def _count_kernel_calls() -> Iterator[list[tuple]]:
+    """The arguments of each kernel call made inside the block."""
+    calls: list[tuple] = []
+    kernel = measures._measure
+    with mock.patch.object(measures, "_measure", lambda *args: calls.append(args) or kernel(*args)):
+        yield calls
+
+
+def _assert_refused(query: Callable[[], object], violations: list[str]) -> None:
+    """``query()`` raises DocumentValidationError carrying ``violations``,
+    without a kernel call."""
+    assert violations
+    with _count_kernel_calls() as calls, pytest.raises(DocumentValidationError) as err:
+        query()
+    assert err.value.violations == violations
+    assert calls == []
 
 
 @given(case_bundles(valid=False), top_ks())
-def test_unvalidated_ranking_rows_match_the_measures(bundle, top_k):
-    # Bases and targets that validation may reject: sources holding a value
-    # no posting list can score take the kernel's score, the rest the
-    # posting lists'; whenever a query returns, each ranked source's scores
-    # and rows are the public measures' on that source.
+def test_unvalidated_queries_refuse_before_the_first_score(bundle, top_k):
+    # A base whose sources hold a value validation rejects refuses every
+    # query with those sources' violations; a valid base holding a target
+    # with such a value refuses it with the target's. Enhanced mode corrects
+    # the target first, whose own errors come first, and then checks the
+    # corrected target. Any other query ranks as the oracle does.
     case_base, target = bundle
+    refused = _violations(case_base, *case_base.sources())
     for mode in ScoringMode:
-        try:
-            ranking = retrieve(target, case_base, mode, top_k)
-        except _UNSCORABLE:
+        enhanced = mode is ScoringMode.ENHANCED
+        queries = [lambda: retrieve(target, case_base, mode, top_k)]
+        scored = target
+        if enhanced:
+            queries.append(lambda: diagnose(target, case_base, top_k))
+            try:
+                scored = prepare_target(target, case_base.profiles)[0]
+            except (MissingProfileError, FuzzyDomainError) as exc:
+                for query in queries:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        query()
+                continue
+        violations = refused or _violations(case_base, scored)
+        if violations:
+            for query in queries:
+                _assert_refused(query, violations)
             continue
-        ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
-        scored = prepare_target(target, case_base.profiles)[0] if mode is ScoringMode.ENHANCED else target
-        for sc in ranking:
-            result = retrieval_measure(scored, case_base.cases[sc.case_id], ctx)
-            assert (sc.m_r.hex(), _hex_rows(sc.breakdown_r)) == (result.score.hex(), _hex_rows(result.breakdown))
-    try:
-        outcome = diagnose(target, case_base, top_k)
-    except _UNSCORABLE:
-        return
-    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
-    prepared = prepare_target(target, case_base.profiles)[0]
-    for sc in outcome.ranking:
-        source = case_base.cases[sc.case_id]
-        retrieval = retrieval_measure(prepared, source, ctx)
-        adaptation = adaptation_measure(prepared, source, ctx)
-        assert (sc.m_r.hex(), _hex_rows(sc.breakdown_r)) == (retrieval.score.hex(), _hex_rows(retrieval.breakdown))
-        assert (sc.m_a.hex(), _hex_rows(sc.breakdown_a)) == (adaptation.score.hex(), _hex_rows(adaptation.breakdown))
-
-
-def _error(call, *args) -> tuple[type, str] | None:
-    """The type and text of the exception ``call(*args)`` raises, or None."""
-    try:
-        call(*args)
-    except Exception as exc:  # compared whole, so an unexpected one shows
-        return type(exc), str(exc)
-    return None
-
-
-def _walk(target: Case, case_base: CaseBase, mode: ScoringMode) -> None:
-    # The reference walk: in enhanced mode the target is prepared, then the
-    # public measure scores every source in id order.
-    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
-    if mode is ScoringMode.ENHANCED:
-        target = prepare_target(target, case_base.profiles)[0]
-    for source in case_base.sources():
-        retrieval_measure(target, source, ctx)
-
-
-@given(case_bundles(valid=False), top_ks())
-def test_unvalidated_queries_raise_the_reference_walks_first_error(bundle, top_k):
-    # Ranking scores with the kernel only the sources that hold a value no
-    # posting list can score, or record the id of one the target holds, yet it
-    # raises what the walk over every source raises first, and nothing when
-    # the walk raises nothing. diagnose raises the enhanced walk's error,
-    # ahead of any its adaptation rows might raise.
-    case_base, target = bundle
-    for mode in ScoringMode:
-        expected = _error(_walk, target, case_base, mode)
-        assert _error(retrieve, target, case_base, mode, top_k) == expected
-    expected = _error(_walk, target, case_base, ScoringMode.ENHANCED)
-    if expected is not None:
-        assert _error(diagnose, target, case_base, top_k) == expected
+        ranking = retrieve(target, case_base, mode, top_k)
+        assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, case_base, enhanced, top_k)
+        if enhanced:
+            assert diagnose(target, case_base, top_k).selected_case_id == naive_select(target, case_base, top_k)
 
 
 def _with_source_descriptor(case_base: CaseBase, source_id: str, descriptor: Descriptor) -> CaseBase:
@@ -367,47 +359,47 @@ def _numeric(did: str, magnitude: float, unit: str = "°C") -> Descriptor:
 
 def test_adaptation_evaluates_an_uncertain_pair_retrieval_drops(engine_case_base):
     # Unvalidated: the target's ds9 is uncertain and abnormal, so enhanced
-    # retrieval never evaluates source3's unknown label on it, but adaptation
-    # does, since doubt does not keep a pair out of the adaptation sums.
+    # retrieval would leave out source3's unknown label on it and adaptation
+    # would not. Both refuse the base before either would score the pair.
     target = engine_case_base.cases["target"]
     assert target.descriptors["ds9"].flags.uncertain
     assert target.descriptors["ds9"].operating_mode is OperatingMode.ABNORMAL
     ds9 = engine_case_base.cases["source3"].descriptors["ds9"]
     unknown = replace(ds9, value=SymbolicValue("warp drive"))
     bad = _with_source_descriptor(engine_case_base, "source3", unknown)
-    ranking = retrieve(target, bad, ScoringMode.ENHANCED, 3)
-    assert sorted(sc.case_id for sc in ranking) == ["source1", "source2", "source3"]
-    with pytest.raises(UnknownLabelError) as err:
-        diagnose(target, bad, top_k=3)
-    assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+    violations = _violations(bad, bad.cases["source3"])
+    assert violations == ["source3/ds9: unknown taxonomy label 'warp drive'"]
+    _assert_refused(lambda: retrieve(target, bad, ScoringMode.ENHANCED, 3), violations)
+    _assert_refused(lambda: diagnose(target, bad, top_k=3), violations)
 
 
 def test_adaptation_skips_a_pair_without_operating_modes(engine_case_base):
     # Unvalidated: source2's uncertain ds1 holds an unknown label, but neither
-    # side of ds1 records an operating mode, so no measure evaluates it.
+    # side of ds1 records an operating mode, so no score would read it; the
+    # base is refused all the same.
     target = engine_case_base.cases["target"]
     ds1 = engine_case_base.cases["source2"].descriptors["ds1"]
     unknown = replace(ds1, value=SymbolicValue("warp drive"), flags=ImperfectionFlags(uncertain=True))
     assert target.descriptors["ds1"].operating_mode is OperatingMode.UNSPECIFIED
     assert unknown.operating_mode is OperatingMode.UNSPECIFIED
     bad = _with_source_descriptor(engine_case_base, "source2", unknown)
-    assert diagnose(target, bad, top_k=3).selected_case_id == "source3"
-    # Certain, the same pair is evaluated by retrieval only.
+    violations = _violations(bad, bad.cases["source2"])
+    _assert_refused(lambda: diagnose(target, bad, top_k=3), violations)
+    # Certain, the same pair is refused by both public measures, which
+    # compile the descriptors the two cases share.
     certain = _with_source_descriptor(engine_case_base, "source2", replace(unknown, flags=ImperfectionFlags()))
     ctx = ScoringContext(taxonomy=certain.taxonomy, profiles=certain.profiles)
     prepared = prepare_target(target, certain.profiles)[0]
     source = certain.cases["source2"]
-    assert adaptation_measure(prepared, source, ctx).score > 0
-    with pytest.raises(UnknownLabelError) as err:
-        retrieval_measure(prepared, source, ctx)
-    assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+    for measure in (adaptation_measure, retrieval_measure):
+        _assert_refused(lambda: measure(prepared, source, ctx), _violations(certain, source))
 
 
 def test_adaptation_raises_the_first_ranked_sources_error(engine_case_base):
     # Unvalidated: source2 and source3 each hold an unknown label that only
-    # adaptation evaluates, source2 on ds9 and source3 on the earlier ds2.
-    # source2 ranks first, so its error is the one raised, although a pass
-    # taking the ranked sources' ds2 before their ds9 would meet source3's.
+    # adaptation would evaluate, source2 on ds9 and source3 on the earlier
+    # ds2. Every query refuses the base with both sources' violations, in id
+    # order, whatever the ranking; the measure refuses the source it is given.
     target = engine_case_base.cases["target"]
     ds9 = engine_case_base.cases["source2"].descriptors["ds9"]
     ds2 = engine_case_base.cases["source3"].descriptors["ds2"]
@@ -415,36 +407,42 @@ def test_adaptation_raises_the_first_ranked_sources_error(engine_case_base):
     doubtful = ImperfectionFlags(uncertain=True)
     unknown = replace(ds2, value=SymbolicValue("flux capacitor"), flags=doubtful, operating_mode=OperatingMode.ABNORMAL)
     bad = _with_source_descriptor(bad, "source3", unknown)
-    ranking = retrieve(target, bad, ScoringMode.ENHANCED, 3)
-    assert [sc.case_id for sc in ranking][:2] == ["source2", "source3"]
+    violations = _violations(bad, bad.cases["source2"], bad.cases["source3"])
+    assert violations == [
+        "source2/ds9: unknown taxonomy label 'warp drive'",
+        "source3/ds2: unknown taxonomy label 'flux capacitor'",
+    ]
+    _assert_refused(lambda: retrieve(target, bad, ScoringMode.ENHANCED, 3), violations)
     for top_k in (2, 3):
-        with pytest.raises(UnknownLabelError) as err:
-            diagnose(target, bad, top_k=top_k)
-        assert str(err.value) == "unknown taxonomy label: 'warp drive'"
-    with pytest.raises(UnknownLabelError) as err:
-        adaptation_measure(target, bad.cases["source3"], ScoringContext(bad.taxonomy, bad.profiles))
-    assert str(err.value) == "unknown taxonomy label: 'flux capacitor'"
+        _assert_refused(lambda: diagnose(target, bad, top_k=top_k), violations)
+    ctx = ScoringContext(bad.taxonomy, bad.profiles)
+    _assert_refused(lambda: adaptation_measure(target, bad.cases["source3"], ctx), violations[1:])
 
 
 def test_source_outside_domain_raises_in_enhanced_retrieve(engine_case_base):
+    # Typical mode, which would clamp the closeness, refuses it too.
     target = engine_case_base.cases["target"]
     bad = _with_source_descriptor(engine_case_base, "source1", _numeric("ds3", 150.0))
-    with pytest.raises(FuzzyDomainError) as err:
-        retrieve(target, bad, ScoringMode.ENHANCED, 3)
-    assert str(err.value) == "value 150.0 for descriptor 'ds3' outside domain [0.0, 100.0]"
-    ranking = retrieve(target, bad, ScoringMode.TYPICAL, 3)
-    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, bad, False, 3)
+    violations = _violations(bad, bad.cases["source1"])
+    assert violations == ["source1/ds3: value 150.0 for descriptor 'ds3' outside domain [0.0, 100.0]"]
+    for mode in ScoringMode:
+        _assert_refused(lambda: retrieve(target, bad, mode, 3), violations)
 
 
 def test_numeric_without_profile_raises_in_enhanced_retrieve(engine_case_base):
+    # The base is refused before the target; the target alone is refused
+    # against a valid base. Typical mode, which would score the pair 0,
+    # refuses it too.
     target = engine_case_base.cases["target"]
     bare = replace(target, descriptors={**target.descriptors, "dx": _numeric("dx", 1.0, "bar")})
     bad = _with_source_descriptor(engine_case_base, "source2", _numeric("dx", 2.0, "bar"))
-    with pytest.raises(MissingProfileError) as err:
-        retrieve(bare, bad, ScoringMode.ENHANCED, 3)
-    assert str(err.value) == "no fuzzy profile registered for descriptor 'dx'"
-    ranking = retrieve(bare, bad, ScoringMode.TYPICAL, 3)
-    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(bare, bad, False, 3)
+    source_violations = _violations(bad, bad.cases["source2"])
+    assert source_violations == ["source2/dx: numeric descriptor has no fuzzy profile"]
+    target_violations = _violations(engine_case_base, bare)
+    assert target_violations == ["target/dx: numeric descriptor has no fuzzy profile"]
+    for mode in ScoringMode:
+        _assert_refused(lambda: retrieve(bare, bad, mode, 3), source_violations)
+        _assert_refused(lambda: retrieve(bare, engine_case_base, mode, 3), target_violations)
 
 
 @pytest.mark.parametrize("mode", list(ScoringMode))
@@ -452,9 +450,46 @@ def test_unknown_label_raises_in_retrieve(engine_case_base, mode):
     target = engine_case_base.cases["target"]
     label = Descriptor(id="ds1", name="ds1", value=SymbolicValue(label="warp drive"))
     bad = _with_source_descriptor(engine_case_base, "source3", label)
-    with pytest.raises(UnknownLabelError) as err:
-        retrieve(target, bad, mode, 3)
-    assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+    _assert_refused(lambda: retrieve(target, bad, mode, 3), ["source3/ds1: unknown taxonomy label 'warp drive'"])
+
+
+def test_refused_base_stays_uncompiled(engine_case_base):
+    # A refusal caches nothing: the next query compiles again and is refused
+    # again, threads querying together are each refused without waiting on
+    # one another, and a base built from the fixed cases ranks as usual.
+    target = engine_case_base.cases["target"]
+    label = Descriptor(id="ds1", name="ds1", value=SymbolicValue(label="warp drive"))
+    bad = _with_source_descriptor(engine_case_base, "source3", label)
+    violations = _violations(bad, bad.cases["source3"])
+    collecting = gc.isenabled()
+    for _ in range(2):
+        _assert_refused(lambda: retrieve(target, bad, ScoringMode.TYPICAL, 3), violations)
+        assert bad._compiled is None
+        assert gc.isenabled() == collecting
+    barrier = threading.Barrier(2, timeout=60)
+    results: list = [None, None]
+
+    def run(j: int) -> None:
+        barrier.wait()
+        try:
+            retrieve(target, bad, ScoringMode.ENHANCED, 3)
+        except Exception as exc:  # compared below, so an unexpected one shows
+            results[j] = exc
+
+    workers = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    assert [type(exc) for exc in results] == [DocumentValidationError] * 2
+    assert [exc.violations for exc in results] == [violations] * 2
+    assert bad._compiled is None and not measures._COMPILE_LOCK.locked()
+    fixed = replace(bad, cases={**bad.cases, "source3": engine_case_base.cases["source3"]})
+    for mode in ScoringMode:
+        ranking = retrieve(target, fixed, mode, 3)
+        reference = naive_retrieve(target, fixed, mode is ScoringMode.ENHANCED, 3)
+        assert [(sc.case_id, sc.m_r) for sc in ranking] == reference
 
 
 def test_kernel_branches_match_naive_reference():
@@ -639,49 +674,47 @@ def test_ties_past_top_k_rank_in_id_order(mode, top_k, state):
 
 
 @pytest.mark.parametrize("mode", list(ScoringMode))
-def test_index_skips_unscorable_sources_that_share_nothing(mode):
+def test_index_refuses_unscorable_sources_that_share_nothing(mode):
     # Unvalidated: s0 holds an unknown label and s3 a numeric without a
-    # profile, on a descriptor the target does not record.
+    # profile, on a descriptor the target does not record; the base is
+    # refused with both, although neither could pair with the target.
     case_base, target = _index_case_base(
         "full",
         _index_case("s0", CaseKind.SOURCE, _sym("c", "warp drive")),
         _index_case("s3", CaseKind.SOURCE, _numeric("c", 1.0, "bar")),
     )
-    engine = retrieve(target, case_base, mode, 8)
-    assert [(sc.case_id, sc.m_r) for sc in engine] == naive_retrieve(
-        target, case_base, mode is ScoringMode.ENHANCED, 8
-    )
+    violations = _violations(case_base, case_base.cases["s0"], case_base.cases["s3"])
+    assert violations == ["s0/c: unknown taxonomy label 'warp drive'", "s3/c: numeric descriptor has no fuzzy profile"]
+    _assert_refused(lambda: retrieve(target, case_base, mode, 8), violations)
 
 
 def test_index_first_unscorable_sharing_source_raises():
-    # s2's unknown label comes before s7's out-of-domain numeric in id order.
+    # s2's unknown label comes before s7's out-of-domain numeric in id order,
+    # and the refusal reports both, in that order.
     bad_label = _index_case("s2", CaseKind.SOURCE, _sym("a", "warp drive"))
     bad_numeric = _index_case("s7", CaseKind.SOURCE, _numeric("n", 150.0, "u"))
     for mode in ScoringMode:
         case_base, target = _index_case_base("full", bad_label, bad_numeric)
-        with pytest.raises(UnknownLabelError) as err:
-            retrieve(target, case_base, mode, 3)
-        assert str(err.value) == "unknown taxonomy label: 'warp drive'"
-    case_base, target = _index_case_base("full", bad_numeric)
-    with pytest.raises(FuzzyDomainError) as err:
-        retrieve(target, case_base, ScoringMode.ENHANCED, 3)
-    assert str(err.value) == "value 150.0 for descriptor 'n' outside domain [0.0, 100.0]"
+        _assert_refused(lambda: retrieve(target, case_base, mode, 3), _violations(case_base, bad_label, bad_numeric))
+        case_base, target = _index_case_base("full", bad_numeric)
+        _assert_refused(
+            lambda: retrieve(target, case_base, mode, 3),
+            ["s7/n: value 150.0 for descriptor 'n' outside domain [0.0, 100.0]"],
+        )
 
 
 @pytest.mark.parametrize("mode", list(ScoringMode))
 def test_index_unscorable_source_in_another_posting_list_raises(mode):
     # The unknown label sits on "a", which the target records as "On" with no
     # operating mode: once in state "Off", once in operating mode "A". The
-    # product is 0 either way, but the label is still evaluated and raises.
+    # product would be 0 either way, but the base is refused.
     off = _index_case("s2", CaseKind.SOURCE, _sym("a", "warp drive", state="Off"))
     abnormal = _index_case(
         "s2", CaseKind.SOURCE, replace(_sym("a", "warp drive"), operating_mode=OperatingMode.ABNORMAL)
     )
     for bad in (off, abnormal):
         case_base, target = _index_case_base("full", bad)
-        with pytest.raises(UnknownLabelError) as err:
-            retrieve(target, case_base, mode, 3)
-        assert str(err.value) == "unknown taxonomy label: 'warp drive'"
+        _assert_refused(lambda: retrieve(target, case_base, mode, 3), ["s2/a: unknown taxonomy label 'warp drive'"])
 
 
 def _sources_with(extra: Descriptor) -> list[Case]:
@@ -695,55 +728,31 @@ def _sources_with(extra: Descriptor) -> list[Case]:
     return sources
 
 
-def _count_kernel_calls(monkeypatch) -> list[str]:
-    """The ids of the sources the kernel is called on from now on."""
-    calls = []
-    kernel = measures._measure
-    monkeypatch.setattr(measures, "_measure", lambda *args: calls.append(args[2].id) or kernel(*args))
-    return calls
+# Of 200 sources, s150 records one descriptor more. In "source", s150 holds
+# an unknown label on "c", which the target does not record. In "target",
+# s150 records "m" at 90.0 and the target holds "m" at 150.0, outside its
+# domain, so only s150 could pair with that record.
+_REFUSED_AMONG_MANY = {
+    "source": (_sym("c", "warp drive"), _INDEX_TARGETS["full"], "s150"),
+    "target": (
+        _numeric("m", 90.0, "u"),
+        (_sym("a", "a1"), _numeric("n", 20.0, "u"), _numeric("m", 150.0, "u")),
+        "t",
+    ),
+}
 
 
-def test_unscorable_source_costs_one_kernel_call(monkeypatch):
-    # Unvalidated: of 200 sources, s150 holds an unknown label on "c", which
-    # the target does not record. Only s150 is scored by the kernel, so a
-    # query makes one kernel call for it and one per returned source.
-    sources = _sources_with(_sym("c", "warp drive"))
-    target = _index_case("t", CaseKind.TARGET, *_INDEX_TARGETS["full"])
-    cases = {c.id: c for c in [*sources, target]}
-    case_base = CaseBase(taxonomy=_INDEX_TAXONOMY, profiles={"n": _INDEX_PROFILE}, cases=cases)
-    calls = _count_kernel_calls(monkeypatch)
-    for mode in ScoringMode:
-        ranking = retrieve(target, case_base, mode, 3)
-        reference = naive_retrieve(target, case_base, mode is ScoringMode.ENHANCED, 3)
-        assert [(sc.case_id, sc.m_r) for sc in ranking] == reference
-        assert len(calls) <= 4, calls
-        calls.clear()
-    diagnose(target, case_base, 3)
-    assert len(calls) <= 4, calls
-
-
-def test_unscorable_target_record_costs_one_kernel_call_per_source_recording_it(monkeypatch):
-    # Unvalidated: the target holds "m" at 150.0, outside its domain, and of
-    # 200 sources only s150 records "m". Only s150 can pair with that record,
-    # so only s150 is scored by the kernel. Typical mode scores the pair
-    # without raising; enhanced mode raises on it, at s150 as before.
-    sources = _sources_with(_numeric("m", 90.0, "u"))
-    target = _index_case("t", CaseKind.TARGET, _sym("a", "a1"), _numeric("n", 20.0, "u"), _numeric("m", 150.0, "u"))
-    cases = {c.id: c for c in [*sources, target]}
+@pytest.mark.parametrize("side", sorted(_REFUSED_AMONG_MANY))
+def test_one_refused_case_among_many_makes_no_kernel_call(side):
+    extra, target_descriptors, refused = _REFUSED_AMONG_MANY[side]
+    target = _index_case("t", CaseKind.TARGET, *target_descriptors)
+    cases = {c.id: c for c in [*_sources_with(extra), target]}
     profiles = {"n": _INDEX_PROFILE, "m": replace(_INDEX_PROFILE, descriptor_id="m")}
     case_base = CaseBase(taxonomy=_INDEX_TAXONOMY, profiles=profiles, cases=cases)
-    calls = _count_kernel_calls(monkeypatch)
-    ranking = retrieve(target, case_base, ScoringMode.TYPICAL, 3)
-    assert len(calls) <= 4, calls
-    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, case_base, False, 3)
-    for query in (lambda: retrieve(target, case_base, ScoringMode.ENHANCED, 3), lambda: diagnose(target, case_base, 3)):
-        calls.clear()
-        with pytest.raises(FuzzyDomainError) as err:
-            query()
-        assert str(err.value) == "value 150.0 for descriptor 'm' outside domain [0.0, 100.0]"
-        assert calls == ["s150"]
-    ranking = retrieve(target, case_base, ScoringMode.TYPICAL, len(sources))
-    assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, case_base, False, len(sources))
+    violations = _violations(case_base, cases[refused])
+    for mode in ScoringMode:
+        _assert_refused(lambda: retrieve(target, case_base, mode, 3), violations)
+    _assert_refused(lambda: diagnose(target, case_base, 3), violations)
 
 
 def test_nan_target_magnitude_fails_the_domain_check(engine_case_base):
@@ -757,16 +766,15 @@ def test_nan_target_magnitude_fails_the_domain_check(engine_case_base):
     assert str(err.value) == "value nan for descriptor 'ds3' outside domain [0.0, 100.0]"
 
 
-def test_nan_target_magnitude_scores_0_in_typical_retrieve(engine_case_base):
-    # Typical mode neither corrects nor checks the target, so a library-built
-    # NaN reaches the linear closeness, which must not clamp it to 1.
+def test_nan_target_magnitude_is_refused_in_typical_retrieve(engine_case_base):
+    # Typical mode neither corrects nor checks the target through its
+    # profile, so a library-built NaN reaches compile, which refuses it.
     target = engine_case_base.cases["target"]
     nan = replace(target.descriptors["ds3"], value=NumericValue(float("nan"), "°C"))
     bad = replace(target, descriptors={**target.descriptors, "ds3": nan})
-    ranking = retrieve(bad, engine_case_base, ScoringMode.TYPICAL, 3)
-    rows = [row for sc in ranking for row in sc.breakdown_r if row.descriptor_id == "ds3"]
-    assert len(rows) == 2  # source2 and source3; source1 does not record ds3
-    assert all(row.phi_value == 0.0 and row.product == 0.0 for row in rows)
+    violations = _violations(engine_case_base, bad)
+    assert violations == ["target/ds3: value nan for descriptor 'ds3' outside domain [0.0, 100.0]"]
+    _assert_refused(lambda: retrieve(bad, engine_case_base, ScoringMode.TYPICAL, 3), violations)
 
 
 # Posting-list layouts. The target records "a" (symbolic) and "m" (symbolic,
