@@ -3,7 +3,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import random
-import re
 import sys
 import threading
 from dataclasses import replace
@@ -313,37 +312,76 @@ def _assert_refused(query: Callable[[], object], violations: list[str]) -> None:
     assert calls == []
 
 
+def _error(call, *args) -> tuple[type, str, list[str] | None] | None:
+    """The type, text and violations of the exception ``call(*args)``
+    raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # compared whole, so an unexpected one shows
+        return type(exc), str(exc), getattr(exc, "violations", None)
+    return None
+
+
+def _walk(target: Case, case_base: CaseBase, mode: ScoringMode) -> None:
+    # The reference walk: in enhanced mode the target is prepared, whose own
+    # errors come first; then every source is checked in id order and, when
+    # all pass, the scored target, and what validation rejects is refused.
+    if mode is ScoringMode.ENHANCED:
+        target = prepare_target(target, case_base.profiles)[0]
+    violations = _violations(case_base, *case_base.sources()) or _violations(case_base, target)
+    if violations:
+        raise DocumentValidationError(violations)
+
+
 @given(case_bundles(valid=False), top_ks())
-def test_unvalidated_queries_refuse_before_the_first_score(bundle, top_k):
-    # A base whose sources hold a value validation rejects refuses every
-    # query with those sources' violations; a valid base holding a target
-    # with such a value refuses it with the target's. Enhanced mode corrects
-    # the target first, whose own errors come first, and then checks the
-    # corrected target. Any other query ranks as the oracle does.
+def test_unvalidated_ranking_rows_match_the_measures(bundle, top_k):
+    # Bases and targets that validation may reject: whenever the reference
+    # walk passes, a query ranks as the oracle does, and each ranked source's
+    # scores and rows are the public measures' on that source.
     case_base, target = bundle
-    refused = _violations(case_base, *case_base.sources())
     for mode in ScoringMode:
-        enhanced = mode is ScoringMode.ENHANCED
-        queries = [lambda: retrieve(target, case_base, mode, top_k)]
-        scored = target
-        if enhanced:
-            queries.append(lambda: diagnose(target, case_base, top_k))
-            try:
-                scored = prepare_target(target, case_base.profiles)[0]
-            except (MissingProfileError, FuzzyDomainError) as exc:
-                for query in queries:
-                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                        query()
-                continue
-        violations = refused or _violations(case_base, scored)
-        if violations:
-            for query in queries:
-                _assert_refused(query, violations)
+        if _error(_walk, target, case_base, mode) is not None:
             continue
         ranking = retrieve(target, case_base, mode, top_k)
+        enhanced = mode is ScoringMode.ENHANCED
         assert [(sc.case_id, sc.m_r) for sc in ranking] == naive_retrieve(target, case_base, enhanced, top_k)
-        if enhanced:
-            assert diagnose(target, case_base, top_k).selected_case_id == naive_select(target, case_base, top_k)
+        ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles, mode=mode)
+        scored = prepare_target(target, case_base.profiles)[0] if enhanced else target
+        for sc in ranking:
+            result = retrieval_measure(scored, case_base.cases[sc.case_id], ctx)
+            assert (sc.m_r.hex(), _hex_rows(sc.breakdown_r)) == (result.score.hex(), _hex_rows(result.breakdown))
+    if _error(_walk, target, case_base, ScoringMode.ENHANCED) is not None:
+        return
+    outcome = diagnose(target, case_base, top_k)
+    assert outcome.selected_case_id == naive_select(target, case_base, top_k)
+    ctx = ScoringContext(taxonomy=case_base.taxonomy, profiles=case_base.profiles)
+    prepared = prepare_target(target, case_base.profiles)[0]
+    for sc in outcome.ranking:
+        source = case_base.cases[sc.case_id]
+        retrieval = retrieval_measure(prepared, source, ctx)
+        adaptation = adaptation_measure(prepared, source, ctx)
+        assert (sc.m_r.hex(), _hex_rows(sc.breakdown_r)) == (retrieval.score.hex(), _hex_rows(retrieval.breakdown))
+        assert (sc.m_a.hex(), _hex_rows(sc.breakdown_a)) == (adaptation.score.hex(), _hex_rows(adaptation.breakdown))
+
+
+@given(case_bundles(valid=False), top_ks())
+def test_unvalidated_queries_raise_the_reference_walks_first_error(bundle, top_k):
+    # A base whose sources hold a value validation rejects refuses every
+    # query with those sources' violations; a valid base holding a target
+    # with such a value refuses it with the target's; enhanced mode raises
+    # the target correction's error ahead of both. Each query raises what the
+    # walk raises first, with no kernel call, and nothing when the walk
+    # raises nothing. diagnose raises the enhanced walk's error.
+    case_base, target = bundle
+    for mode in ScoringMode:
+        expected = _error(_walk, target, case_base, mode)
+        queries = [(retrieve, target, case_base, mode, top_k)]
+        if mode is ScoringMode.ENHANCED:
+            queries.append((diagnose, target, case_base, top_k))
+        for query in queries:
+            with _count_kernel_calls() as calls:
+                assert _error(*query) == expected
+            assert expected is None or calls == []
 
 
 def _with_source_descriptor(case_base: CaseBase, source_id: str, descriptor: Descriptor) -> CaseBase:
