@@ -211,14 +211,16 @@ def validate_case(
 ) -> list[str]:
     """Report the case's violations against a taxonomy and profile registry.
 
-    Checks: every descriptor value must be symbolic or numeric; symbolic
-    labels (including a solution's failing component) must resolve to
-    taxonomy nodes; every numeric descriptor must have a fuzzy profile and a
-    magnitude inside that profile's domain; descriptor map keys must match
-    descriptor ids. Cases that pass against the same taxonomy and profiles
-    score against each other in either mode without raising; scoring
-    refuses a descriptor value this reports. An empty report means the case
-    is valid; callers decide severity.
+    Checks, per descriptor: its id must match its map key; its value must
+    be symbolic or numeric, a symbolic label a string naming a taxonomy
+    node, a numeric magnitude an int or a float with a fuzzy profile and
+    inside that profile's domain; its state must be a string or None, its
+    operating mode an ``OperatingMode`` and its flags ``ImperfectionFlags``.
+    A solution's failing component must name a taxonomy node too. Cases
+    that pass against the same taxonomy and profiles score against each
+    other in either mode without raising; scoring refuses a descriptor this
+    reports. An empty report means the case is valid; callers decide
+    severity.
     """
     violations: list[str] = []
     for key in sorted(case.descriptors):
@@ -226,12 +228,17 @@ def validate_case(
         if d.id != key:
             violations.append(f"{case.id}/{key}: descriptor id {d.id!r} does not match its key")
         if isinstance(d.value, SymbolicValue):
-            if not taxonomy.contains(d.value.label):
+            if not isinstance(d.value.label, str):
+                violations.append(f"{case.id}/{key}: label {d.value.label!r} is not a string")
+            elif not taxonomy.contains(d.value.label):
                 violations.append(f"{case.id}/{key}: unknown taxonomy label {d.value.label!r}")
         elif isinstance(d.value, NumericValue):
             profile = profiles.get(d.id)
-            if profile is None:
-                kind = "imprecise numeric" if d.flags.imprecise else "numeric"
+            if not isinstance(d.value.magnitude, (float, int)):
+                violations.append(f"{case.id}/{key}: magnitude {d.value.magnitude!r} is not a number")
+            elif profile is None:
+                imprecise = isinstance(d.flags, ImperfectionFlags) and d.flags.imprecise
+                kind = "imprecise numeric" if imprecise else "numeric"
                 violations.append(f"{case.id}/{key}: {kind} descriptor has no fuzzy profile")
             else:
                 try:
@@ -240,6 +247,12 @@ def validate_case(
                     violations.append(f"{case.id}/{key}: {exc}")
         else:
             violations.append(f"{case.id}/{key}: value {d.value!r} is neither symbolic nor numeric")
+        if d.state is not None and not isinstance(d.state, str):
+            violations.append(f"{case.id}/{key}: state {d.state!r} is neither a string nor None")
+        if not isinstance(d.operating_mode, OperatingMode):
+            violations.append(f"{case.id}/{key}: operating mode {d.operating_mode!r} is not an OperatingMode")
+        if not isinstance(d.flags, ImperfectionFlags):
+            violations.append(f"{case.id}/{key}: flags {d.flags!r} are not ImperfectionFlags")
     if case.solution is not None and not taxonomy.contains(case.solution.failing_component):
         violations.append(
             f"{case.id}/solution: unknown taxonomy label {case.solution.failing_component!r}"

@@ -6,17 +6,17 @@ and the cases; descriptor values encode as {"symbolic": <label>} or
 {"numeric": <magnitude>, "unit": <u>}, operating modes as "N"/"A"/null.
 
 Encoding is deterministic: sorted keys, ids ascending, floats rendered with
-full round-trip precision. Every document is exactly the bytes of
-``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False,
-allow_nan=False)`` plus a newline, but most of it comes from json's C
-encoder, which ``indent`` would switch off: each flat container, and each
-list of flat rows, is encoded in one call whose item separator carries the
-newline and indent of its level. Only the containers that hold containers
-are walked in Python. An outcome is written item by item, in key order,
-and each list of its breakdown rows from one ``%`` template per row type,
-made from the fields ``_FIELDS`` declares, when every column of the list
+full round-trip precision. Every document is built as plain dicts and lists,
+holding the row objects themselves, and written by one walker, ``_dump``, as
+exactly the bytes of ``json.dumps(doc, sort_keys=True, indent=2,
+ensure_ascii=False, allow_nan=False)`` plus a newline. Most of it comes from
+json's C encoder, which ``indent`` would switch off: each flat container is
+encoded in one call whose item separator carries the newline and indent of
+its level. A list of rows of a type ``_FIELDS`` declares is written from one
+``%`` template per row type, made from those fields, when every column
 holds values of exactly its field's type, finite ones for floats; any other
-list takes the generic path, which writes it, or refuses it, as json does.
+list of rows is written, or refused, as json does with the rows' attribute
+dicts. Only the containers that hold containers are walked in Python.
 Decoding never yields a partial case base; every problem is reported with
 the field path where it was found.
 """
@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import fields
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Any, NoReturn, Optional
@@ -135,8 +134,8 @@ _FIELDS = {
 }
 
 
-# The type of the values each checker returns: an outcome row of exactly
-# these types is written from its type's template (_row_template).
+# The type of the values each checker returns: a row of exactly these types
+# is written from its type's template (_row_template).
 _TYPES = {_str: str, _num: float, _int: int}
 
 
@@ -170,8 +169,11 @@ def _encoder(level: int) -> Any:
 
 def _encode(value: Any, level: int) -> str:
     """``value`` as ``json.dumps(indent=2)`` writes it with its items at
-    ``level``: a flat container, or a list of flat objects, in one call to an
-    encoder, and any other container item by item."""
+    ``level``. A scalar is written as json's encoders write it, an ``int``
+    or a finite ``float`` with its ``repr``; a flat container in one call
+    to an encoder; a list of rows of a type ``_FIELDS`` declares from that
+    type's template (:func:`_encode_rows`); any other container item by
+    item."""
     if type(value) is str:
         return encode_basestring(value)
     if value is None:
@@ -180,6 +182,8 @@ def _encode(value: Any, level: int) -> str:
         return "true"
     if value is False:
         return "false"
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
     if not value or not isinstance(value, (dict, list, tuple)):
         return _encoder(level)(value)
     indent = "\n" + "  " * level
@@ -189,16 +193,10 @@ def _encode(value: Any, level: int) -> str:
             return "{" + indent + _encoder(level)(value)[1:-1] + close + "}"
         items = [encode_basestring(k) + ": " + _encode(v, level + 1) for k, v in sorted(value.items())]
         return _items(items, level, "{}")
+    if type(value[0]) in _FIELDS:
+        return _encode_rows(type(value[0]), value, level)
     if _SCALARS.issuperset(map(type, value)):
         return "[" + indent + _encoder(level)(value)[1:-1] + close + "]"
-    if all(value) and set(map(type, value)) == {dict} and _SCALARS.issuperset(
-        map(type, chain.from_iterable(map(dict.values, value)))
-    ):
-        # No encoded string holds a raw newline, so "},\n" ends a row.
-        inner = indent + "  "
-        rows = _encoder(level + 1)(value)[2:-2]
-        rows = rows.replace("}," + inner + "{", indent + "}," + indent + "{" + inner)
-        return "[" + indent + "{" + inner + rows + indent + "}" + close + "]"
     return _items([_encode(v, level + 1) for v in value], level, "[]")
 
 
@@ -456,17 +454,18 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
     return CaseBase(taxonomy=taxonomy, profiles=profiles, cases=cases)
 
 
-def _encode_value(value: SymbolicValue | NumericValue) -> dict:
-    if isinstance(value, SymbolicValue):
-        return {"symbolic": value.label}
-    return {"numeric": value.magnitude, "unit": value.unit}
-
-
-def _encode_descriptor(d: Descriptor) -> dict:
+def _encode_descriptor(case: Case, key: str) -> dict:
+    d = case.descriptors[key]
+    if isinstance(d.value, SymbolicValue):
+        value = {"symbolic": d.value.label}
+    elif isinstance(d.value, NumericValue):
+        value = {"numeric": d.value.magnitude, "unit": d.value.unit}
+    else:  # reported as validate_case reports it
+        raise DocumentValidationError([f"{case.id}/{key}: value {d.value!r} is neither symbolic nor numeric"])
     return {
         "id": d.id,
         "name": d.name,
-        "value": _encode_value(d.value),
+        "value": value,
         "state": d.state,
         "operating_mode": _MODE_CODES.get(d.operating_mode),
         "imprecise": d.flags.imprecise,
@@ -478,7 +477,7 @@ def _encode_case(case: Case) -> dict:
     return {
         "id": case.id,
         "kind": case.kind.value,
-        "descriptors": [_encode_descriptor(case.descriptors[did]) for did in sorted(case.descriptors)],
+        "descriptors": [_encode_descriptor(case, key) for key in sorted(case.descriptors)],
         "solution": None if case.solution is None else vars(case.solution),
     }
 
@@ -486,7 +485,9 @@ def _encode_case(case: Case) -> dict:
 @_collector_paused()
 def encode_case_base(case_base: CaseBase) -> str:
     """Render a case base as its canonical document: same value in, same
-    bytes out. The cyclic garbage collector is paused while it runs, as in
+    bytes out. A descriptor value of neither kind raises
+    ``DocumentValidationError`` with :func:`validate_case`'s violation. The
+    cyclic garbage collector is paused while it runs, as in
     ``decode_case_base``."""
     doc = {
         "format_version": FORMAT_VERSION,
@@ -494,10 +495,7 @@ def encode_case_base(case_base: CaseBase) -> str:
             {"name": name, "parent": case_base.taxonomy.parent(name)}
             for name in case_base.taxonomy.nodes()
         ],
-        "fuzzy_profiles": [
-            {**vars(p), "subsets": [vars(s) for s in p.subsets]}
-            for _, p in sorted(case_base.profiles.items())
-        ],
+        "fuzzy_profiles": [vars(p) for _, p in sorted(case_base.profiles.items())],
         "cases": [_encode_case(case_base.cases[cid]) for cid in sorted(case_base.cases)],
     }
     return _dump(doc)
@@ -505,34 +503,18 @@ def encode_case_base(case_base: CaseBase) -> str:
 
 def encode_outcome(outcome: DiagnosisOutcome) -> str:
     """Render a diagnosis outcome deterministically; scores keep full
-    precision so decoding reproduces them exactly. The document is the one
-    ``_dump`` writes for the outcome's fields and rows, each row as its
-    attribute dict, written item by item in key order; breakdown rows come
-    from their type's template (:func:`_encode_rows`)."""
-
-    def ranked(sc: ScoredCase) -> str:
-        breakdown_a = "null" if sc.breakdown_a is None else _encode_rows(AdaptationTerm, sc.breakdown_a, 4)
-        return _items(
-            [
-                '"breakdown_a": ' + breakdown_a,
-                '"breakdown_r": ' + _encode_rows(LocalScores, sc.breakdown_r, 4),
-                '"case_id": ' + _encode(sc.case_id, 4),
-                '"m_a": ' + _encode(sc.m_a, 4),
-                '"m_r": ' + _encode(sc.m_r, 4),
-            ],
-            3,
-            "{}",
-        )
-
-    items = [
-        '"corrections_applied": ' + _encode([vars(c) for c in outcome.corrections_applied], 2),
-        '"format_version": ' + _encode(FORMAT_VERSION, 2),
-        '"mode": ' + _encode(outcome.mode.value, 2),
-        '"ranking": ' + _items([ranked(sc) for sc in outcome.ranking], 2, "[]"),
-        '"selected_case_id": ' + _encode(outcome.selected_case_id, 2),
-        '"solution": ' + _encode(None if outcome.solution is None else vars(outcome.solution), 2),
-    ]
-    return _items(items, 1, "{}") + "\n"
+    precision so decoding reproduces them exactly. The document holds each
+    ranked case's attribute dict and the row lists as they are; ``_dump``
+    writes each row list from its row type's template (:func:`_encode_rows`)."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "mode": outcome.mode.value,
+        "selected_case_id": outcome.selected_case_id,
+        "solution": None if outcome.solution is None else vars(outcome.solution),
+        "corrections_applied": outcome.corrections_applied,
+        "ranking": [vars(sc) for sc in outcome.ranking],
+    }
+    return _dump(doc)
 
 
 def with_running_sums(rows: list, total_field: str) -> list[dict]:
@@ -561,7 +543,7 @@ def encode_explanation(
         "mode": mode.value,
         "target_id": target_id,
         "source_id": source_id,
-        "corrections_applied": [vars(c) for c in corrections],
+        "corrections_applied": corrections,
         "m_r": retrieval.score,
         "retrieval_rows": with_running_sums(retrieval.breakdown, "product"),
         "m_a": adaptation.score,

@@ -23,9 +23,10 @@ against the source's, and builds the source's retrieval rows, its
 adaptation rows, or both, from one value per pair, which comes from the
 value function.
 
-Scoring accepts only values that :func:`validate_case` accepts: a label of
-the taxonomy, or a numeric with a profile and a finite magnitude inside its
-domain. Compiling a case base, a target, or the shared descriptors of the
+Scoring accepts only descriptors that :func:`validate_case` accepts: a label
+of the taxonomy, or a numeric with a profile and a finite magnitude inside
+its domain, with a state, operating mode and flags of their declared types.
+Compiling a case base, a target, or the shared descriptors of the
 two cases a public measure compares refuses any other value before the
 first score, with a ``DocumentValidationError`` that carries
 :func:`validate_case`'s path-tagged violations of the refused cases. A
@@ -163,8 +164,9 @@ def lambda_weight(target_mode: OperatingMode, source_mode: OperatingMode) -> int
 
 # Record kinds. An _OTHER record holds a value validate_case rejects (an
 # unknown label, a numeric without a profile, outside its domain or not
-# finite, or a value of neither type), which no value function can score:
-# compiling one refuses its case (_refusal).
+# finite, or a value of neither type), or a field of a type validate_case
+# rejects, which no value function can score: compiling one refuses its case
+# (_refusal).
 _SYMBOLIC = "symbolic"
 _NUMERIC = "numeric"
 _OTHER = "other"
@@ -175,30 +177,35 @@ def _record(
 ) -> tuple:
     """A descriptor's scoring record: (kind, label or magnitude, unit,
     casefolded state, operating-mode code, uncertain flag, fuzzy subset
-    label, source position). The kind is ``_OTHER``, with no value, for a
-    value that validation rejects; callers refuse such a record's case.
+    label, source position). A value that validation rejects, or a field
+    that cannot be read as its declared type, gives an ``_OTHER`` record,
+    with nothing but its position; callers refuse such a record's case.
 
     Records hold only strings, numbers, booleans and None, so the garbage
     collector can stop tracking them: a compiled case base adds little to
     its later passes.
     """
     value = d.value
-    # Interned so that the many equal states of a case base share one string.
-    state = None if d.state is None else sys.intern(d.state.casefold())
-    om = d.operating_mode._value_  # .value without the cost of its descriptor call
-    uncertain = d.flags.uncertain
-    if isinstance(value, SymbolicValue) and taxonomy.contains(value.label):
-        return (_SYMBOLIC, value.label, None, state, om, uncertain, None, position)
-    if (
-        isinstance(value, NumericValue)
-        and profile is not None
-        and math.isfinite(value.magnitude)
-        and profile.domain_lower <= value.magnitude <= profile.domain_upper
-    ):
-        subset = classify_subset(value.magnitude, profile)
-        label = None if subset is None else subset.label
-        return (_NUMERIC, value.magnitude, value.unit, state, om, uncertain, label, position)
-    return (_OTHER, None, None, state, om, uncertain, None, position)
+    try:
+        # Interned so that the many equal states of a case base share one string.
+        state = None if d.state is None else sys.intern(d.state.casefold())
+        om = d.operating_mode._value_  # .value without the cost of its descriptor call
+        uncertain = d.flags.uncertain
+        if isinstance(value, SymbolicValue) and taxonomy.contains(value.label):
+            return (_SYMBOLIC, value.label, None, state, om, uncertain, None, position)
+        if (
+            isinstance(value, NumericValue)
+            and profile is not None
+            and isinstance(value.magnitude, (float, int))
+            and math.isfinite(value.magnitude)
+            and profile.domain_lower <= value.magnitude <= profile.domain_upper
+        ):
+            subset = classify_subset(value.magnitude, profile)
+            label = None if subset is None else subset.label
+            return (_NUMERIC, value.magnitude, value.unit, state, om, uncertain, label, position)
+    except (AttributeError, TypeError):
+        pass  # a state, mode, flags or label of the wrong type
+    return (_OTHER, None, None, None, None, None, None, position)
 
 
 def _columns(records: list[tuple], taxonomy: Taxonomy) -> tuple[tuple, tuple]:
@@ -299,8 +306,8 @@ def _refusal(
 ) -> DocumentValidationError:
     """The error that refuses ``cases``, each holding an ``_OTHER`` record:
     :func:`validate_case`'s path-tagged violations of each, in order. It
-    reports every value an ``_OTHER`` record holds, so the list is never
-    empty."""
+    reports every value and field that gives an ``_OTHER`` record, so the
+    list is never empty."""
     return DocumentValidationError([v for case in cases for v in validate_case(case, taxonomy, profiles)])
 
 

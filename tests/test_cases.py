@@ -17,6 +17,7 @@ from cbrdiag import (
     SymbolicValue,
     Taxonomy,
     align,
+    encode_case_base,
     retrieve,
     validate_case,
 )
@@ -133,7 +134,8 @@ def test_validate_descriptor_key_mismatch():
 def test_validate_value_of_neither_kind():
     # A descriptor built in code may hold any object: validation reports
     # one that is neither symbolic nor numeric, and retrieval refuses it
-    # with that violation, in the base or in the target.
+    # with that violation, in the base or in the target; so does the
+    # case-base encoder.
     taxonomy = Taxonomy([("root", None)])
     odd = Descriptor(id="d", name="d", value="oops")
     fine = Descriptor(id="d", name="d", value=SymbolicValue(label="root"))
@@ -149,6 +151,10 @@ def test_validate_value_of_neither_kind():
         with pytest.raises(DocumentValidationError) as err:
             retrieve(odd_target, valid, mode, 1)
         assert err.value.violations == ["t/d: value 'oops' is neither symbolic nor numeric"]
+    # The encoder refuses it with the same violation.
+    with pytest.raises(DocumentValidationError) as err:
+        encode_case_base(base)
+    assert err.value.violations == ["s/d: value 'oops' is neither symbolic nor numeric"]
 
 
 def test_case_base_split(engine_case_base):

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from cbrdiag import (
     CaseBase,
+    Correction,
     DocumentSyntaxError,
     DocumentValidationError,
+    FuzzySubset,
     ImperfectionFlags,
     NumericValue,
     OperatingMode,
@@ -33,7 +35,7 @@ from cbrdiag import (
     retrieve,
 )
 from cbrdiag.cases import FLAG_VALUES
-from cbrdiag.codec import _dump, encode_explanation
+from cbrdiag.codec import _dump, _encode_case, encode_explanation
 from cbrdiag.measures import AdaptationResult, AdaptationTerm, LocalScores, RetrievalResult
 from strategies import case_bundles, json_items, single_field_mutations, wide_text
 
@@ -466,10 +468,12 @@ def _rows(draw, cls) -> list:
 
 @st.composite
 def _outcomes(draw):
-    """``diagnose`` outcomes of ``case_bundles()``, some of whose breakdown
-    lists are dropped (``breakdown_a``) or replaced by drawn rows."""
+    """``diagnose`` outcomes of ``case_bundles()``, some of whose row lists
+    are dropped (``breakdown_a``) or replaced by drawn rows."""
     case_base, target = draw(case_bundles(max_sources=6))
     outcome = diagnose(target, case_base, top_k=4)
+    if draw(st.booleans()):
+        outcome = replace(outcome, corrections_applied=draw(_rows(Correction)))
     ranking = []
     for sc in outcome.ranking:
         if draw(st.booleans()):
@@ -492,6 +496,45 @@ def test_outcome_rows_encode_as_json_dumps_writes_them(outcome):
             encode_outcome(outcome)
     else:
         assert encode_outcome(outcome) == expected + "\n"
+
+
+def _case_base_document(case_base: CaseBase) -> dict:
+    """The case-base document with every row as its attribute dict, the
+    reference for the subset rows' template."""
+    return {
+        "format_version": 1,
+        "taxonomy": [{"name": n, "parent": case_base.taxonomy.parent(n)} for n in case_base.taxonomy.nodes()],
+        "fuzzy_profiles": [
+            {**vars(p), "subsets": [vars(s) for s in p.subsets]} for _, p in sorted(case_base.profiles.items())
+        ],
+        "cases": [_encode_case(case_base.cases[cid]) for cid in sorted(case_base.cases)],
+    }
+
+
+@st.composite
+def _int_bounded_bases(draw) -> CaseBase:
+    """``case_bundles()`` bases, some of whose subsets' whole-number bounds
+    are ints, which their template does not write."""
+    case_base, _ = draw(case_bundles(max_sources=4))
+    profiles = {}
+    for did, p in case_base.profiles.items():
+        subsets = [
+            FuzzySubset(s.label, int(s.lower), int(s.upper))
+            if s.lower.is_integer() and s.upper.is_integer() and draw(st.booleans())
+            else s
+            for s in p.subsets
+        ]
+        profiles[did] = replace(p, subsets=subsets)
+    return replace(case_base, profiles=profiles)
+
+
+# CI also runs this module with json's C encoder switched off.
+@given(_int_bounded_bases())
+def test_case_base_rows_encode_as_json_dumps_writes_them(case_base):
+    expected = json.dumps(
+        _case_base_document(case_base), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+    )
+    assert encode_case_base(case_base) == expected + "\n"
 
 
 def test_taxonomy_violations_surface():

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from dataclasses import replace
+from decimal import Decimal
 from typing import Callable, Iterator
 from unittest import mock
 
@@ -431,6 +432,49 @@ def test_adaptation_skips_a_pair_without_operating_modes(engine_case_base):
     source = certain.cases["source2"]
     for measure in (adaptation_measure, retrieval_measure):
         _assert_refused(lambda: measure(prepared, source, ctx), _violations(certain, source))
+
+
+# Descriptor fields of the wrong type, set in code on a descriptor source2
+# and the target share, with the text validate_case reports for each.
+WRONG_TYPES = {
+    "magnitude": ("ds3", {"value": NumericValue(magnitude="5", unit="°C")}, "magnitude '5' is not a number"),
+    # A Decimal passes math.isfinite and compares with floats, but typical
+    # closeness cannot subtract it from a float.
+    "decimal-magnitude": (
+        "ds3",
+        {"value": NumericValue(magnitude=Decimal("90"), unit="°C")},
+        "magnitude Decimal('90') is not a number",
+    ),
+    "label": ("ds1", {"value": SymbolicValue(label=["a"])}, "label ['a'] is not a string"),
+    "state": ("ds1", {"state": 5}, "state 5 is neither a string nor None"),
+    "operating-mode": ("ds1", {"operating_mode": "A"}, "operating mode 'A' is not an OperatingMode"),
+    "flags": ("ds1", {"flags": None}, "flags None are not ImperfectionFlags"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_TYPES))
+def test_wrong_typed_fields_are_reported_and_refused(engine_case_base, field):
+    # validate_case reports the field with its path, and every query and
+    # public measure refuses it with that report before any score: in a
+    # source, and in a target that typical mode scores as it is.
+    did, changes, message = WRONG_TYPES[field]
+    target = engine_case_base.cases["target"]
+    wrong = replace(engine_case_base.cases["source2"].descriptors[did], **changes)
+    bad = _with_source_descriptor(engine_case_base, "source2", wrong)
+    violations = _violations(bad, bad.cases["source2"])
+    assert violations == [f"source2/{did}: {message}"]
+    for mode in ScoringMode:
+        _assert_refused(lambda: retrieve(target, bad, mode, 3), violations)
+    _assert_refused(lambda: diagnose(target, bad, top_k=3), violations)
+    ctx = ScoringContext(taxonomy=bad.taxonomy, profiles=bad.profiles, mode=ScoringMode.TYPICAL)
+    for measure in (adaptation_measure, retrieval_measure):
+        _assert_refused(lambda: measure(target, bad.cases["source2"], ctx), violations)
+    wrong_target = replace(
+        target, descriptors={**target.descriptors, did: replace(target.descriptors[did], **changes)}
+    )
+    target_violations = _violations(engine_case_base, wrong_target)
+    assert target_violations == [f"target/{did}: {message}"]
+    _assert_refused(lambda: retrieve(wrong_target, engine_case_base, ScoringMode.TYPICAL, 3), target_violations)
 
 
 def test_adaptation_raises_the_first_ranked_sources_error(engine_case_base):
