@@ -151,13 +151,14 @@ class CaseBase:
     up its scores from the posting lists that match its target's
     descriptors, since a pair whose state or mode disagrees adds 0. Each
     returned source's records are read once more, one source at a time, for
-    its breakdown rows. A base whose sources hold a value that
-    :func:`validate_case` rejects is refused at that first compile, and at
-    every query after it, with a ``DocumentValidationError`` carrying those
-    sources' violations; so is a target holding one, after the base.
-    Neither the case base nor the mappings it holds may be
+    its breakdown rows. That first compile validates the sources
+    (:func:`validate_case`), unless the base comes from
+    ``decode_case_base`` with validation on, which has just done it; a base
+    holding a source validation reports is refused then, and at every query
+    after it, with a ``DocumentValidationError`` carrying those sources'
+    violations. Neither the case base nor the mappings it holds may be
     mutated afterwards; build a new one instead (``dataclasses.replace``
-    starts with nothing compiled).
+    starts with nothing compiled or validated).
     Concurrent first queries compile it once, under a lock; concurrent first
     reads of a posting list may both build its columns, which is harmless:
     either result serves.
@@ -167,6 +168,7 @@ class CaseBase:
     profiles: Mapping[str, "FuzzyProfile"] = field(default_factory=dict)
     cases: Mapping[str, Case] = field(default_factory=dict)
     _compiled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def sources(self) -> list[Case]:
         return [self.cases[cid] for cid in sorted(self.cases) if self.cases[cid].kind is CaseKind.SOURCE]
@@ -204,6 +206,34 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _wrong_types(d: Descriptor) -> list[str]:
+    """What :func:`validate_case` reports, without the path, of each field
+    of the descriptor that is not of its declared type (a bool magnitude is
+    not a number). No document holds one: the decoder refuses each, and the
+    encoder writes no case holding one."""
+    wrong = []
+    if not isinstance(d.name, str):
+        wrong.append(f"name {d.name!r} is not a string")
+    value = d.value
+    if isinstance(value, SymbolicValue):
+        if not isinstance(value.label, str):
+            wrong.append(f"label {value.label!r} is not a string")
+    elif isinstance(value, NumericValue):
+        if isinstance(value.magnitude, bool) or not isinstance(value.magnitude, (float, int)):
+            wrong.append(f"magnitude {value.magnitude!r} is not a number")
+        if not isinstance(value.unit, str):
+            wrong.append(f"unit {value.unit!r} is not a string")
+    else:
+        wrong.append(f"value {value!r} is neither symbolic nor numeric")
+    if d.state is not None and not isinstance(d.state, str):
+        wrong.append(f"state {d.state!r} is neither a string nor None")
+    if not isinstance(d.operating_mode, OperatingMode):
+        wrong.append(f"operating mode {d.operating_mode!r} is not an OperatingMode")
+    if not isinstance(d.flags, ImperfectionFlags):
+        wrong.append(f"flags {d.flags!r} are not ImperfectionFlags")
+    return wrong
+
+
 def validate_case(
     case: Case,
     taxonomy: "Taxonomy",
@@ -211,48 +241,37 @@ def validate_case(
 ) -> list[str]:
     """Report the case's violations against a taxonomy and profile registry.
 
-    Checks, per descriptor: its id must match its map key; its value must
-    be symbolic or numeric, a symbolic label a string naming a taxonomy
-    node, a numeric magnitude an int or a float with a fuzzy profile and
-    inside that profile's domain; its state must be a string or None, its
-    operating mode an ``OperatingMode`` and its flags ``ImperfectionFlags``.
-    A solution's failing component must name a taxonomy node too. Cases
-    that pass against the same taxonomy and profiles score against each
-    other in either mode without raising; scoring refuses a descriptor this
-    reports. An empty report means the case is valid; callers decide
-    severity.
+    Checks, per descriptor: its id must match its map key; its fields must
+    be of their declared types (:func:`_wrong_types`); if they are, a
+    symbolic label must name a taxonomy node, and a numeric must have a
+    fuzzy profile and a magnitude inside that profile's domain. A
+    solution's failing component must name a taxonomy node too. This is
+    the one acceptance rule: scoring refuses every case it reports, and
+    cases that pass against the same taxonomy and profiles score against
+    each other in either mode without raising. An empty report means the
+    case is valid; callers decide severity.
     """
     violations: list[str] = []
     for key in sorted(case.descriptors):
         d = case.descriptors[key]
         if d.id != key:
             violations.append(f"{case.id}/{key}: descriptor id {d.id!r} does not match its key")
-        if isinstance(d.value, SymbolicValue):
-            if not isinstance(d.value.label, str):
-                violations.append(f"{case.id}/{key}: label {d.value.label!r} is not a string")
-            elif not taxonomy.contains(d.value.label):
+        wrong = _wrong_types(d)
+        if wrong:
+            violations.extend(f"{case.id}/{key}: {message}" for message in wrong)
+        elif isinstance(d.value, SymbolicValue):
+            if not taxonomy.contains(d.value.label):
                 violations.append(f"{case.id}/{key}: unknown taxonomy label {d.value.label!r}")
-        elif isinstance(d.value, NumericValue):
+        else:
             profile = profiles.get(d.id)
-            if not isinstance(d.value.magnitude, (float, int)):
-                violations.append(f"{case.id}/{key}: magnitude {d.value.magnitude!r} is not a number")
-            elif profile is None:
-                imprecise = isinstance(d.flags, ImperfectionFlags) and d.flags.imprecise
-                kind = "imprecise numeric" if imprecise else "numeric"
+            if profile is None:
+                kind = "imprecise numeric" if d.flags.imprecise else "numeric"
                 violations.append(f"{case.id}/{key}: {kind} descriptor has no fuzzy profile")
             else:
                 try:
                     profile.check_domain(d.value.magnitude)
                 except FuzzyDomainError as exc:
                     violations.append(f"{case.id}/{key}: {exc}")
-        else:
-            violations.append(f"{case.id}/{key}: value {d.value!r} is neither symbolic nor numeric")
-        if d.state is not None and not isinstance(d.state, str):
-            violations.append(f"{case.id}/{key}: state {d.state!r} is neither a string nor None")
-        if not isinstance(d.operating_mode, OperatingMode):
-            violations.append(f"{case.id}/{key}: operating mode {d.operating_mode!r} is not an OperatingMode")
-        if not isinstance(d.flags, ImperfectionFlags):
-            violations.append(f"{case.id}/{key}: flags {d.flags!r} are not ImperfectionFlags")
     if case.solution is not None and not taxonomy.contains(case.solution.failing_component):
         violations.append(
             f"{case.id}/solution: unknown taxonomy label {case.solution.failing_component!r}"

@@ -42,6 +42,7 @@ from .cases import (
     Solution,
     SymbolicValue,
     _collector_paused,
+    _wrong_types,
     validate_case,
 )
 from .errors import DocumentSyntaxError, DocumentValidationError
@@ -383,8 +384,10 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
     schema (bad JSON, bad shapes, unknown format version), and
     DocumentValidationError, carrying every violation found, when it can.
     With validate=False the per-case semantic checks are skipped, for callers
-    that validate against a different context afterwards. The cyclic garbage
-    collector is paused while it runs and left as the caller had it.
+    that validate against a different context afterwards; the base's first
+    query then validates its sources, which a validated base skips. The
+    cyclic garbage collector is paused while it runs and left as the caller
+    had it.
     """
     doc = _as_dict(_parse_json(text), "$")
     _check_version(doc)
@@ -451,17 +454,14 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
                 violations.append(f"{_case_path(positions[cid])}: {message}")
     if violations:
         raise DocumentValidationError(violations)
-    return CaseBase(taxonomy=taxonomy, profiles=profiles, cases=cases)
+    case_base = CaseBase(taxonomy=taxonomy, profiles=profiles, cases=cases)
+    object.__setattr__(case_base, "_validated", validate)
+    return case_base
 
 
-def _encode_descriptor(case: Case, key: str) -> dict:
-    d = case.descriptors[key]
-    if isinstance(d.value, SymbolicValue):
-        value = {"symbolic": d.value.label}
-    elif isinstance(d.value, NumericValue):
-        value = {"numeric": d.value.magnitude, "unit": d.value.unit}
-    else:  # reported as validate_case reports it
-        raise DocumentValidationError([f"{case.id}/{key}: value {d.value!r} is neither symbolic nor numeric"])
+def _encode_descriptor(d: Descriptor) -> dict:
+    v = d.value
+    value = {"symbolic": v.label} if isinstance(v, SymbolicValue) else {"numeric": v.magnitude, "unit": v.unit}
     return {
         "id": d.id,
         "name": d.name,
@@ -477,7 +477,7 @@ def _encode_case(case: Case) -> dict:
     return {
         "id": case.id,
         "kind": case.kind.value,
-        "descriptors": [_encode_descriptor(case, key) for key in sorted(case.descriptors)],
+        "descriptors": [_encode_descriptor(case.descriptors[key]) for key in sorted(case.descriptors)],
         "solution": None if case.solution is None else vars(case.solution),
     }
 
@@ -485,10 +485,15 @@ def _encode_case(case: Case) -> dict:
 @_collector_paused()
 def encode_case_base(case_base: CaseBase) -> str:
     """Render a case base as its canonical document: same value in, same
-    bytes out. A descriptor value of neither kind raises
-    ``DocumentValidationError`` with :func:`validate_case`'s violation. The
-    cyclic garbage collector is paused while it runs, as in
-    ``decode_case_base``."""
+    bytes out. A case holding a descriptor field of the wrong type, which no
+    document can hold, raises ``DocumentValidationError`` with
+    :func:`validate_case`'s violations of that case; a well-typed case that
+    validation reports is written. The cyclic garbage collector is paused
+    while it runs, as in ``decode_case_base``."""
+    cases = [case_base.cases[cid] for cid in sorted(case_base.cases)]
+    for case in cases:
+        if any(map(_wrong_types, case.descriptors.values())):
+            raise DocumentValidationError(validate_case(case, case_base.taxonomy, case_base.profiles))
     doc = {
         "format_version": FORMAT_VERSION,
         "taxonomy": [
@@ -496,7 +501,7 @@ def encode_case_base(case_base: CaseBase) -> str:
             for name in case_base.taxonomy.nodes()
         ],
         "fuzzy_profiles": [vars(p) for _, p in sorted(case_base.profiles.items())],
-        "cases": [_encode_case(case_base.cases[cid]) for cid in sorted(case_base.cases)],
+        "cases": [_encode_case(case) for case in cases],
     }
     return _dump(doc)
 

@@ -52,8 +52,8 @@ class DocumentSyntaxError(CbrError):
 
 class DocumentValidationError(CbrError):
     """A structurally well-formed document violates semantic constraints,
-    or a case base or target built in code holds a value that scoring
-    refuses.
+    or scoring was given a case that ``validate_case`` reports, or the
+    encoder one holding a field of the wrong type.
 
     Carries every violation found, each prefixed with the field path
     where it was detected.

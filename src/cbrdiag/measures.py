@@ -23,15 +23,11 @@ against the source's, and builds the source's retrieval rows, its
 adaptation rows, or both, from one value per pair, which comes from the
 value function.
 
-Scoring accepts only descriptors that :func:`validate_case` accepts: a label
-of the taxonomy, or a numeric with a profile and a finite magnitude inside
-its domain, with a state, operating mode and flags of their declared types.
-Compiling a case base, a target, or the shared descriptors of the
-two cases a public measure compares refuses any other value before the
-first score, with a ``DocumentValidationError`` that carries
-:func:`validate_case`'s path-tagged violations of the refused cases. A
-query compiles its base before its target, so a refused base is reported
-first, and stays uncompiled.
+Scoring accepts only cases that :func:`validate_case` accepts, and refuses
+any other before the first score, with a ``DocumentValidationError`` that
+carries its path-tagged violations (:func:`_refuse`): a query its base's
+sources, in id order, then its target; a public measure its source, then
+its target. A refused base stays uncompiled.
 
 Ranking scores term-at-a-time instead. A pair's product is nonzero only
 when the casefolded states and the operating modes agree, and in enhanced
@@ -67,7 +63,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .cases import Case, CaseBase, Descriptor, NumericValue, OperatingMode, SymbolicValue
+from .cases import Case, CaseBase, Descriptor, OperatingMode, SymbolicValue
 from .cases import _collector_paused, validate_case
 from .errors import DocumentValidationError
 from .fuzzy import FuzzyProfile, classify_subset
@@ -162,50 +158,30 @@ def lambda_weight(target_mode: OperatingMode, source_mode: OperatingMode) -> int
     return _weight(target_mode.value, source_mode.value)
 
 
-# Record kinds. An _OTHER record holds a value validate_case rejects (an
-# unknown label, a numeric without a profile, outside its domain or not
-# finite, or a value of neither type), or a field of a type validate_case
-# rejects, which no value function can score: compiling one refuses its case
-# (_refusal).
+# Record kinds.
 _SYMBOLIC = "symbolic"
 _NUMERIC = "numeric"
-_OTHER = "other"
 
 
-def _record(
-    d: Descriptor, taxonomy: Taxonomy, profile: Optional[FuzzyProfile], position: Optional[int] = None
-) -> tuple:
-    """A descriptor's scoring record: (kind, label or magnitude, unit,
-    casefolded state, operating-mode code, uncertain flag, fuzzy subset
-    label, source position). A value that validation rejects, or a field
-    that cannot be read as its declared type, gives an ``_OTHER`` record,
-    with nothing but its position; callers refuse such a record's case.
+def _record(d: Descriptor, profile: Optional[FuzzyProfile], position: Optional[int] = None) -> tuple:
+    """A valid descriptor's scoring record, with its profile (None for a
+    label): (kind, label or magnitude, unit, casefolded state,
+    operating-mode code, uncertain flag, fuzzy subset label, source
+    position).
 
     Records hold only strings, numbers, booleans and None, so the garbage
     collector can stop tracking them: a compiled case base adds little to
     its later passes.
     """
     value = d.value
-    try:
-        # Interned so that the many equal states of a case base share one string.
-        state = None if d.state is None else sys.intern(d.state.casefold())
-        om = d.operating_mode._value_  # .value without the cost of its descriptor call
-        uncertain = d.flags.uncertain
-        if isinstance(value, SymbolicValue) and taxonomy.contains(value.label):
-            return (_SYMBOLIC, value.label, None, state, om, uncertain, None, position)
-        if (
-            isinstance(value, NumericValue)
-            and profile is not None
-            and isinstance(value.magnitude, (float, int))
-            and math.isfinite(value.magnitude)
-            and profile.domain_lower <= value.magnitude <= profile.domain_upper
-        ):
-            subset = classify_subset(value.magnitude, profile)
-            label = None if subset is None else subset.label
-            return (_NUMERIC, value.magnitude, value.unit, state, om, uncertain, label, position)
-    except (AttributeError, TypeError):
-        pass  # a state, mode, flags or label of the wrong type
-    return (_OTHER, None, None, None, None, None, None, position)
+    # Interned so that the many equal states of a case base share one string.
+    state = None if d.state is None else sys.intern(d.state.casefold())
+    om = d.operating_mode._value_  # .value without the cost of its descriptor call
+    if isinstance(value, SymbolicValue):
+        return (_SYMBOLIC, value.label, None, state, om, d.flags.uncertain, None, position)
+    subset = classify_subset(value.magnitude, profile)
+    label = None if subset is None else subset.label
+    return (_NUMERIC, value.magnitude, value.unit, state, om, d.flags.uncertain, label, position)
 
 
 def _columns(records: list[tuple], taxonomy: Taxonomy) -> tuple[tuple, tuple]:
@@ -223,12 +199,11 @@ def _columns(records: list[tuple], taxonomy: Taxonomy) -> tuple[tuple, tuple]:
 def _valuer(
     t: tuple, profile: Optional[FuzzyProfile], enhanced: bool, taxonomy: Taxonomy
 ) -> tuple[Callable, Callable]:
-    """The value rules of a target record that is not ``_OTHER``, as two
-    functions built from the same constants: the value function, the value
-    factor in [0, 1] of the record and a source record that is not
-    ``_OTHER`` either; and the adder, which adds the value of every record
-    of a posting list's columns (:func:`_columns`) whose value is not 0 to
-    the plain dict ``numerators``, at the record's source position, as
+    """The value rules of a target record, as two functions built from the
+    same constants: the value function, the value factor in [0, 1] of the
+    record and a source record; and the adder, which adds the value of every
+    record of a posting list's columns (:func:`_columns`) whose value is not
+    0 to the plain dict ``numerators``, at the record's source position, as
     ``numerators[p] = get(p, 0.0) + v`` with ``get`` bound once per call
     (cheaper than a ``defaultdict``'s ``+=``, and the same float).
 
@@ -301,29 +276,24 @@ def _valuer(
     ), add
 
 
-def _refusal(
-    cases: Iterable[Case], taxonomy: Taxonomy, profiles: Mapping[str, FuzzyProfile]
-) -> DocumentValidationError:
-    """The error that refuses ``cases``, each holding an ``_OTHER`` record:
-    :func:`validate_case`'s path-tagged violations of each, in order. It
-    reports every value and field that gives an ``_OTHER`` record, so the
-    list is never empty."""
-    return DocumentValidationError([v for case in cases for v in validate_case(case, taxonomy, profiles)])
+def _refuse(cases: Iterable[Case], taxonomy: Taxonomy, profiles: Mapping[str, FuzzyProfile]) -> None:
+    """Refuse ``cases`` if :func:`validate_case` reports any of them: raise
+    ``DocumentValidationError`` with the violations of each, in order."""
+    violations = [v for case in cases for v in validate_case(case, taxonomy, profiles)]
+    if violations:
+        raise DocumentValidationError(violations)
 
 
 def _target_records(target: Case, ctx: ScoringContext, dids: Optional[Iterable[str]] = None) -> list[tuple]:
-    """The target's records of ``dids`` (all its descriptors by default) in
-    id order, each as (id, casefolded state, operating-mode code, uncertain
-    flag, value function, adder), the last two in ``ctx.mode``
-    (:func:`_valuer`). An ``_OTHER`` record among them refuses the target
-    (:func:`_refusal`) before any score."""
+    """The valid target's records of ``dids`` (all its descriptors by
+    default) in id order, each as (id, casefolded state, operating-mode
+    code, uncertain flag, value function, adder), the last two in
+    ``ctx.mode`` (:func:`_valuer`)."""
     records = []
     enhanced = ctx.mode is ScoringMode.ENHANCED
     for did in sorted(target.descriptors if dids is None else dids):
         profile = ctx.profiles.get(did)
-        record = _record(target.descriptors[did], ctx.taxonomy, profile)
-        if record[0] is _OTHER:
-            raise _refusal([target], ctx.taxonomy, ctx.profiles)
+        record = _record(target.descriptors[did], profile)
         records.append((did, *record[3:6], *_valuer(record, profile, enhanced, ctx.taxonomy)))
     return records
 
@@ -339,7 +309,7 @@ def _measure(
     """The scoring kernel: the source's retrieval result if ``kinds`` holds
     ``_RETRIEVAL`` and its adaptation result if it holds ``_ADAPTATION``,
     from the target's records (as :func:`_target_records` gives them) and
-    the source's records by descriptor id, none of them ``_OTHER``.
+    the source's records by descriptor id.
 
     It walks the target's records in id order, each against the source's
     record of its id. A pair takes its value from the target record's value
@@ -389,14 +359,13 @@ def _measure(
 
 
 def _measure_one(target: Case, source: Case, ctx: ScoringContext, kinds: int) -> tuple:
-    """The kernel on one source, compiling only the descriptors both cases
-    record, the only ones it reads. An ``_OTHER`` record among them refuses
-    its case before any score, the source's first, as a query compiles its
-    base before its target."""
+    """The kernel on one source, once the source and then the target pass
+    :func:`_refuse`, compiling only the descriptors both cases record, the
+    only ones it reads."""
+    _refuse([source], ctx.taxonomy, ctx.profiles)
+    _refuse([target], ctx.taxonomy, ctx.profiles)
     shared = target.descriptors.keys() & source.descriptors.keys()
-    records = {did: _record(source.descriptors[did], ctx.taxonomy, ctx.profiles.get(did)) for did in shared}
-    if any(s[0] is _OTHER for s in records.values()):
-        raise _refusal([source], ctx.taxonomy, ctx.profiles)
+    records = {did: _record(source.descriptors[did], ctx.profiles.get(did)) for did in shared}
     return _measure(_target_records(target, ctx, shared), records, ctx, kinds)
 
 
@@ -407,9 +376,9 @@ def retrieval_measure(target: Case, source: Case, ctx: ScoringContext) -> Retrie
     presence factor contributes zero to both sums and its value factor is
     reported as 0 without being evaluated, so enhanced scoring is exactly
     equivalent to deleting the uncertain descriptors up front. With nothing
-    co-present the source is incomparable and scores 0. A co-present
-    descriptor holding a value :func:`validate_case` rejects, on either
-    side, raises ``DocumentValidationError`` with that case's violations.
+    co-present the source is incomparable and scores 0. A case that
+    :func:`validate_case` reports, either case, the source first, raises
+    ``DocumentValidationError`` with its violations.
     """
     return _measure_one(target, source, ctx, _RETRIEVAL)[0]
 
@@ -454,10 +423,10 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
     - per scoring mode, one mask per source of the ids that count toward its
       denominator: its certain ids in enhanced mode, all of them in typical.
 
-    Sources holding an ``_OTHER`` record refuse the base (:func:`_refusal`,
-    in id order): the error leaves through the lock and the collector pause,
-    which both restore their state, and nothing is cached, so every later
-    query is refused alike.
+    The sources are validated first (:func:`_refuse`, in id order), unless
+    the base carries the mark of a validating decode: a refusal leaves
+    through the lock, which it releases, and nothing is cached, so every
+    later query is refused alike.
     """
     compiled = case_base._compiled
     if compiled is not None:
@@ -466,19 +435,20 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
         compiled = case_base._compiled
         if compiled is not None:
             return compiled
-        taxonomy, profiles = case_base.taxonomy, case_base.profiles
+        profiles, cases = case_base.profiles, case_base.sources()
+        if not case_base._validated:
+            _refuse(cases, case_base.taxonomy, profiles)
         sources = []
         postings: defaultdict[tuple, list[tuple]] = defaultdict(list)
         bits: dict[str, int] = {}
         certain_masks = []
         present_masks = []
-        refused = {}
         with _collector_paused():
-            for position, source in enumerate(case_base.sources()):
+            for position, source in enumerate(cases):
                 records = {}
                 certain = present = 0
                 for did, d in source.descriptors.items():
-                    record = records[did] = _record(d, taxonomy, profiles.get(did), position)
+                    record = records[did] = _record(d, profiles.get(did), position)
                     bit = bits.get(did)
                     if bit is None:
                         bit = bits[did] = 1 << len(bits)
@@ -486,13 +456,9 @@ def _compiled_sources(case_base: CaseBase) -> tuple:
                     if not record[5]:
                         certain |= bit
                     postings[did, record[3], record[4], record[5]].append(record)
-                    if record[0] is _OTHER:
-                        refused[position] = source
                 sources.append((source, records))
                 certain_masks.append(certain)
                 present_masks.append(present)
-            if refused:
-                raise _refusal(refused.values(), taxonomy, profiles)
             compiled = (
                 tuple(sources),
                 dict(postings),
@@ -509,9 +475,8 @@ def rank_sources(
     """The ``top_k`` best sources by retrieval score, ties broken by case id,
     each with the results of the row ``kinds`` the kernel gives them.
 
-    The base compiles first (:func:`_compiled_sources`), then the target
-    (:func:`_target_records`); either refuses a value validation rejects,
-    the base's first, before any score.
+    The base and the target have passed :func:`_refuse`, as the pipeline
+    refuses them before it corrects the target.
 
     Scores accumulate term-at-a-time: each of the target's descriptors, in id
     order and leaving out uncertain ones in enhanced mode, hands the columns

@@ -17,6 +17,7 @@ from .cases import Case, CaseBase, NumericValue, Solution
 from .errors import ConfigurationError, MissingProfileError
 from .fuzzy import FuzzyProfile, correct_imprecise
 from .measures import _ADAPTATION, _RETRIEVAL, AdaptationTerm, LocalScores, ScoringMode, rank_sources
+from .measures import _compiled_sources, _refuse
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,12 @@ def _retrieve(
     """Retrieval as :func:`retrieve` runs it: the outcome with its ranking
     and correction log but no selection. With ``_ADAPTATION`` in ``kinds``
     (enhanced mode only), every ranked case also gets its adaptation score
-    and breakdown, from the kernel call that builds its retrieval breakdown."""
+    and breakdown, from the kernel call that builds its retrieval breakdown.
+    An invalid base is refused as it compiles, then an invalid target."""
     if top_k < 1:
         raise ConfigurationError(f"top_k must be at least 1, got {top_k}")
+    _compiled_sources(case_base)
+    _refuse([target], case_base.taxonomy, case_base.profiles)
     corrections: list[Correction] = []
     if mode is ScoringMode.ENHANCED:
         target, corrections = prepare_target(target, case_base.profiles)
@@ -109,9 +113,10 @@ def retrieve(target: Case, case_base: CaseBase, mode: ScoringMode, top_k: int) -
 
     Sources are ordered by descending retrieval score, ties broken by case id.
     In enhanced mode the target is corrected first. An empty case base gives
-    an empty list. A case base or target holding a value that
-    :func:`validate_case` rejects raises ``DocumentValidationError`` before
-    any score; so does :func:`diagnose`.
+    an empty list. Sources of the case base that :func:`validate_case`
+    reports, or else a target it reports, raise ``DocumentValidationError``
+    with their violations before any score or correction; so does
+    :func:`diagnose`.
     """
     return _retrieve(target, case_base, mode, top_k).ranking
 

@@ -45,7 +45,7 @@ def value_function(
     profiles = {} if profile is None else {pair.descriptor_id: profile}
     target = Case(id="t", kind=CaseKind.TARGET, descriptors={pair.descriptor_id: pair.target})
     ((*_, value, _),) = _target_records(target, ScoringContext(taxonomy=taxonomy, profiles=profiles, mode=mode))
-    return value(_record(pair.source, taxonomy, profile))
+    return value(_record(pair.source, profile))
 
 
 def sym(did: str, label: str, **kwargs) -> Descriptor:
@@ -168,10 +168,12 @@ def test_phi_value_kind_mismatch_scores_zero(engine_case_base):
 
 def test_phi_value_enhanced_numeric_requires_profile(engine_case_base):
     # Without a profile the target's numeric is refused before any value.
-    pair = make_pair(num("dX", 10.0, unit="u"), num("dX", 20.0, unit="u"))
+    t = Case(id="t", kind=CaseKind.TARGET, descriptors={"dX": num("dX", 10.0, unit="u")})
+    s = Case(id="s", kind=CaseKind.SOURCE, descriptors={"dX": sym("dX", "Comp.")})
     for mode in ScoringMode:
+        ctx = ScoringContext(taxonomy=engine_case_base.taxonomy, profiles={}, mode=mode)
         with pytest.raises(DocumentValidationError) as err:
-            value_function(pair, engine_case_base.taxonomy, None, mode)
+            retrieval_measure(t, s, ctx)
         assert err.value.violations == ["t/dX: numeric descriptor has no fuzzy profile"]
 
 

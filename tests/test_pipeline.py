@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import contextlib
+import enum
 import gc
 import random
 import sys
 import threading
 from dataclasses import replace
 from decimal import Decimal
+from types import SimpleNamespace
 from typing import Callable, Iterator
 from unittest import mock
 
@@ -22,7 +24,6 @@ from cbrdiag import (
     Correction,
     Descriptor,
     DocumentValidationError,
-    FuzzyDomainError,
     FuzzyProfile,
     FuzzySubset,
     ImperfectionFlags,
@@ -324,11 +325,9 @@ def _error(call, *args) -> tuple[type, str, list[str] | None] | None:
 
 
 def _walk(target: Case, case_base: CaseBase, mode: ScoringMode) -> None:
-    # The reference walk: in enhanced mode the target is prepared, whose own
-    # errors come first; then every source is checked in id order and, when
-    # all pass, the scored target, and what validation rejects is refused.
-    if mode is ScoringMode.ENHANCED:
-        target = prepare_target(target, case_base.profiles)[0]
+    # The reference walk, alike in both modes: every source is checked in id
+    # order and, when all pass, the target as given, before any correction,
+    # and what validation rejects is refused.
     violations = _violations(case_base, *case_base.sources()) or _violations(case_base, target)
     if violations:
         raise DocumentValidationError(violations)
@@ -434,6 +433,11 @@ def test_adaptation_skips_a_pair_without_operating_modes(engine_case_base):
         _assert_refused(lambda: measure(prepared, source, ctx), _violations(certain, source))
 
 
+class _ForeignMode(enum.Enum):
+    # Its codes are OperatingMode's, but it is another Enum.
+    ABNORMAL = "A"
+
+
 # Descriptor fields of the wrong type, set in code on a descriptor source2
 # and the target share, with the text validate_case reports for each.
 WRONG_TYPES = {
@@ -449,6 +453,20 @@ WRONG_TYPES = {
     "state": ("ds1", {"state": 5}, "state 5 is neither a string nor None"),
     "operating-mode": ("ds1", {"operating_mode": "A"}, "operating mode 'A' is not an OperatingMode"),
     "flags": ("ds1", {"flags": None}, "flags None are not ImperfectionFlags"),
+    "foreign-operating-mode": (
+        "ds1",
+        {"operating_mode": _ForeignMode.ABNORMAL},
+        "operating mode <_ForeignMode.ABNORMAL: 'A'> is not an OperatingMode",
+    ),
+    "duck-typed-flags": (
+        "ds1",
+        {"flags": SimpleNamespace(imprecise=False, uncertain=False)},
+        "flags namespace(imprecise=False, uncertain=False) are not ImperfectionFlags",
+    ),
+    # A bool is an int to Python, but the document format has no numeric bool.
+    "bool-magnitude": ("ds3", {"value": NumericValue(magnitude=True, unit="°C")}, "magnitude True is not a number"),
+    "unit": ("ds3", {"value": NumericValue(magnitude=90.0, unit=5)}, "unit 5 is not a string"),
+    "name": ("ds1", {"name": 5}, "name 5 is not a string"),
 }
 
 
@@ -456,7 +474,8 @@ WRONG_TYPES = {
 def test_wrong_typed_fields_are_reported_and_refused(engine_case_base, field):
     # validate_case reports the field with its path, and every query and
     # public measure refuses it with that report before any score: in a
-    # source, and in a target that typical mode scores as it is.
+    # source, and in a target, before enhanced mode would correct it. The
+    # encoder refuses a base holding it, which no document could hold.
     did, changes, message = WRONG_TYPES[field]
     target = engine_case_base.cases["target"]
     wrong = replace(engine_case_base.cases["source2"].descriptors[did], **changes)
@@ -474,7 +493,82 @@ def test_wrong_typed_fields_are_reported_and_refused(engine_case_base, field):
     )
     target_violations = _violations(engine_case_base, wrong_target)
     assert target_violations == [f"target/{did}: {message}"]
-    _assert_refused(lambda: retrieve(wrong_target, engine_case_base, ScoringMode.TYPICAL, 3), target_violations)
+    for mode in ScoringMode:
+        _assert_refused(lambda: retrieve(wrong_target, engine_case_base, mode, 3), target_violations)
+    _assert_refused(lambda: diagnose(wrong_target, engine_case_base, top_k=3), target_violations)
+    with pytest.raises(DocumentValidationError) as err:
+        encode_case_base(bad)
+    assert err.value.violations == violations
+
+
+# Well-typed sources that validation reports, for something no descriptor
+# pair scores: the solution's failing component, and a descriptor id that
+# differs from its key.
+def _unknown_component(source: Case) -> Case:
+    return replace(source, solution=Solution("warp drive", "fix"))
+
+
+_UNSCORED_VIOLATIONS = {
+    "solution": (_unknown_component, "source2/solution: unknown taxonomy label 'warp drive'"),
+    "descriptor-id": (
+        lambda source: replace(
+            source, descriptors={**source.descriptors, "ds1": replace(source.descriptors["ds1"], id="ds1b")}
+        ),
+        "source2/ds1: descriptor id 'ds1b' does not match its key",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNSCORED_VIOLATIONS))
+def test_unscored_violations_are_refused(engine_case_base, name):
+    # validate_case is the one acceptance rule: what it reports is refused
+    # by every query and both public measures, with its list and before any
+    # score, although no pair would read it.
+    change, message = _UNSCORED_VIOLATIONS[name]
+    target = engine_case_base.cases["target"]
+    source = change(engine_case_base.cases["source2"])
+    bad = replace(engine_case_base, cases={**engine_case_base.cases, "source2": source})
+    violations = _violations(bad, source)
+    assert violations == [message]
+    for mode in ScoringMode:
+        _assert_refused(lambda: retrieve(target, bad, mode, 3), violations)
+        ctx = ScoringContext(taxonomy=bad.taxonomy, profiles=bad.profiles, mode=mode)
+        for measure in (adaptation_measure, retrieval_measure):
+            _assert_refused(lambda: measure(target, source, ctx), violations)
+    _assert_refused(lambda: diagnose(target, bad, top_k=3), violations)
+
+
+def _with_unknown_component(case_base: CaseBase) -> CaseBase:
+    """The case base with source2's solution naming no taxonomy node."""
+    return replace(case_base, cases={**case_base.cases, "source2": _unknown_component(case_base.cases["source2"])})
+
+
+def test_unvalidated_and_replaced_decoded_bases_are_refused_at_first_query(fixture_text):
+    # Only a validating decode marks its base as validated: a base decoded
+    # without validation, and a validated one changed by replace, are both
+    # validated at their first query, and refused.
+    document = encode_case_base(_with_unknown_component(decode_case_base(fixture_text)))
+    unvalidated = decode_case_base(document, validate=False)
+    replaced = _with_unknown_component(decode_case_base(fixture_text))
+    violations = ["source2/solution: unknown taxonomy label 'warp drive'"]
+    for case_base in (unvalidated, replaced):
+        target = case_base.cases["target"]
+        _assert_refused(lambda: retrieve(target, case_base, ScoringMode.TYPICAL, 3), violations)
+        _assert_refused(lambda: diagnose(target, case_base, top_k=3), violations)
+        assert case_base._compiled is None
+
+
+def test_first_compile_validates_only_unmarked_bases(fixture_text):
+    # A validating decode has just checked every case, so the first compile
+    # of its base validates none; the first compile of a base decoded
+    # without validation, or made by replace, validates each source once.
+    validated = decode_case_base(fixture_text)
+    bases = [(0, validated), (3, decode_case_base(fixture_text, validate=False)), (3, replace(validated))]
+    for expected, case_base in bases:
+        with mock.patch.object(measures, "validate_case", wraps=validate_case) as counted:
+            measures._compiled_sources(case_base)
+        assert counted.call_count == expected
+        assert [call.args[0].id for call in counted.call_args_list] == ["source1", "source2", "source3"][:expected]
 
 
 def test_adaptation_raises_the_first_ranked_sources_error(engine_case_base):
@@ -838,14 +932,15 @@ def test_one_refused_case_among_many_makes_no_kernel_call(side):
 
 
 def test_nan_target_magnitude_fails_the_domain_check(engine_case_base):
-    # ds3 is imprecise in the fixture target, so enhanced retrieval corrects
-    # it through its profile, which refuses NaN as it refuses 150.0.
+    # ds3 is imprecise in the fixture target; enhanced retrieval refuses the
+    # target before it would correct it, as the profile refuses 150.0.
     target = engine_case_base.cases["target"]
     nan = replace(target.descriptors["ds3"], value=NumericValue(float("nan"), "°C"))
     bad = replace(target, descriptors={**target.descriptors, "ds3": nan})
-    with pytest.raises(FuzzyDomainError) as err:
-        diagnose(bad, engine_case_base)
-    assert str(err.value) == "value nan for descriptor 'ds3' outside domain [0.0, 100.0]"
+    _assert_refused(
+        lambda: diagnose(bad, engine_case_base),
+        ["target/ds3: value nan for descriptor 'ds3' outside domain [0.0, 100.0]"],
+    )
 
 
 def test_nan_target_magnitude_is_refused_in_typical_retrieve(engine_case_base):
