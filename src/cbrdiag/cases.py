@@ -90,6 +90,43 @@ class Descriptor:
     flags: ImperfectionFlags = CLEAN
 
 
+# The decoder builds a NumericValue and a Descriptor per descriptor of a
+# document. These two build what the constructors build with one dict write
+# per field, where a frozen dataclass's __init__ pays an object.__setattr__
+# call per field. Reading __dict__ gives the instance a dict object of its
+# own (64 bytes on CPython 3.11), so the public constructors keep the
+# generated __init__: objects that callers build and keep stay as small as
+# ever, and only a decoded base pays for the dicts.
+_new = object.__new__
+
+
+def _numeric_value(magnitude: float, unit: str) -> NumericValue:
+    v = _new(NumericValue)
+    d = v.__dict__
+    d["magnitude"] = magnitude
+    d["unit"] = unit
+    return v
+
+
+def _descriptor(
+    id: str,
+    name: str,
+    value: DescriptorValue,
+    state: Optional[str],
+    operating_mode: OperatingMode,
+    flags: ImperfectionFlags,
+) -> Descriptor:
+    descriptor = _new(Descriptor)
+    d = descriptor.__dict__
+    d["id"] = id
+    d["name"] = name
+    d["value"] = value
+    d["state"] = state
+    d["operating_mode"] = operating_mode
+    d["flags"] = flags
+    return descriptor
+
+
 @dataclass(frozen=True)
 class Solution:
     """Diagnosis attached to a solved source case."""
@@ -209,8 +246,8 @@ def _collector_paused() -> Iterator[None]:
 def _wrong_types(d: Descriptor) -> list[str]:
     """What :func:`validate_case` reports, without the path, of each field
     of the descriptor that is not of its declared type (a bool magnitude is
-    not a number). No document holds one: the decoder refuses each, and the
-    encoder writes no case holding one."""
+    not a number, an int flag is not a bool). No document holds one: the
+    decoder refuses each."""
     wrong = []
     if not isinstance(d.name, str):
         wrong.append(f"name {d.name!r} is not a string")
@@ -229,28 +266,22 @@ def _wrong_types(d: Descriptor) -> list[str]:
         wrong.append(f"state {d.state!r} is neither a string nor None")
     if not isinstance(d.operating_mode, OperatingMode):
         wrong.append(f"operating mode {d.operating_mode!r} is not an OperatingMode")
-    if not isinstance(d.flags, ImperfectionFlags):
-        wrong.append(f"flags {d.flags!r} are not ImperfectionFlags")
+    flags = d.flags
+    if not isinstance(flags, ImperfectionFlags):
+        wrong.append(f"flags {flags!r} are not ImperfectionFlags")
+    else:
+        if not isinstance(flags.imprecise, bool):
+            wrong.append(f"imprecise flag {flags.imprecise!r} is not a bool")
+        if not isinstance(flags.uncertain, bool):
+            wrong.append(f"uncertain flag {flags.uncertain!r} is not a bool")
     return wrong
 
 
-def validate_case(
-    case: Case,
-    taxonomy: "Taxonomy",
-    profiles: Mapping[str, "FuzzyProfile"],
-) -> list[str]:
-    """Report the case's violations against a taxonomy and profile registry.
-
-    Checks, per descriptor: its id must match its map key; its fields must
-    be of their declared types (:func:`_wrong_types`); if they are, a
-    symbolic label must name a taxonomy node, and a numeric must have a
-    fuzzy profile and a magnitude inside that profile's domain. A
-    solution's failing component must name a taxonomy node too. This is
-    the one acceptance rule: scoring refuses every case it reports, and
-    cases that pass against the same taxonomy and profiles score against
-    each other in either mode without raising. An empty report means the
-    case is valid; callers decide severity.
-    """
+def _type_violations(case: Case) -> list[str]:
+    """The type half of :func:`validate_case`, what no document can hold:
+    per descriptor, in key order, an id that differs from its key and each
+    field :func:`_wrong_types` reports; then a solution that is not a
+    ``Solution`` or holds a field that is not a string."""
     violations: list[str] = []
     for key in sorted(case.descriptors):
         d = case.descriptors[key]
@@ -259,7 +290,30 @@ def validate_case(
         wrong = _wrong_types(d)
         if wrong:
             violations.extend(f"{case.id}/{key}: {message}" for message in wrong)
-        elif isinstance(d.value, SymbolicValue):
+    solution = case.solution
+    if isinstance(solution, Solution):
+        component, action = solution.failing_component, solution.action
+        if not isinstance(component, str):
+            violations.append(f"{case.id}/solution: failing component {component!r} is not a string")
+        if not isinstance(action, str):
+            violations.append(f"{case.id}/solution: action {action!r} is not a string")
+    elif solution is not None:
+        violations.append(f"{case.id}/solution: {solution!r} is not a Solution")
+    return violations
+
+
+def _semantic_violations(
+    case: Case,
+    taxonomy: "Taxonomy",
+    profiles: Mapping[str, "FuzzyProfile"],
+) -> list[str]:
+    """The semantic half of :func:`validate_case`, for a case of which
+    :func:`_type_violations` reports nothing. A validating decode runs only
+    this half: its inline field checks refuse all the type half reports."""
+    violations: list[str] = []
+    for key in sorted(case.descriptors):
+        d = case.descriptors[key]
+        if isinstance(d.value, SymbolicValue):
             if not taxonomy.contains(d.value.label):
                 violations.append(f"{case.id}/{key}: unknown taxonomy label {d.value.label!r}")
         else:
@@ -277,3 +331,26 @@ def validate_case(
             f"{case.id}/solution: unknown taxonomy label {case.solution.failing_component!r}"
         )
     return violations
+
+
+def validate_case(
+    case: Case,
+    taxonomy: "Taxonomy",
+    profiles: Mapping[str, "FuzzyProfile"],
+) -> list[str]:
+    """Report the case's violations against a taxonomy and profile registry.
+
+    Checks its types first (:func:`_type_violations`): each descriptor's id
+    must match its map key and its fields, and the solution's, must be of
+    their declared types. A case that passes those gets the semantic checks
+    (:func:`_semantic_violations`): a symbolic label must name a taxonomy
+    node, a numeric must have a fuzzy profile and a magnitude inside that
+    profile's domain, and a solution's failing component must name a
+    taxonomy node. A case with a type violation reports only those, since
+    the semantic checks read each field as its declared type. This is the
+    one acceptance rule: scoring refuses every case it reports, and cases
+    that pass against the same taxonomy and profiles score against each
+    other in either mode without raising. An empty report means the case is
+    valid; callers decide severity.
+    """
+    return _type_violations(case) or _semantic_violations(case, taxonomy, profiles)

@@ -42,8 +42,10 @@ from .cases import (
     Solution,
     SymbolicValue,
     _collector_paused,
-    _wrong_types,
-    validate_case,
+    _descriptor,
+    _numeric_value,
+    _semantic_violations,
+    _type_violations,
 )
 from .errors import DocumentSyntaxError, DocumentValidationError
 from .fuzzy import FuzzyProfile, FuzzySubset
@@ -320,7 +322,7 @@ def _decode_descriptor(value: Any, c: int, i: int, labels: dict[str, SymbolicVal
         if type(unit) is not str or not unit.isascii():
             path = f"{_descriptor_path(c, i)}.value"
             unit = _str(_get(raw, "unit", path), f"{path}.unit")
-        decoded = NumericValue(magnitude, unit)
+        decoded = _numeric_value(magnitude, unit)
     else:
         _fail(f"{_descriptor_path(c, i)}.value", "expected a \"symbolic\" or \"numeric\" value")
     state = obj.get("state")
@@ -337,7 +339,7 @@ def _decode_descriptor(value: Any, c: int, i: int, labels: dict[str, SymbolicVal
     uncertain = obj.get("uncertain", False)
     if type(uncertain) is not bool:
         uncertain = _bool(uncertain, f"{_descriptor_path(c, i)}.uncertain")
-    return Descriptor(did, name, decoded, state, mode, FLAG_VALUES[imprecise, uncertain])
+    return _descriptor(did, name, decoded, state, mode, FLAG_VALUES[imprecise, uncertain])
 
 
 def _decode_case(value: Any, c: int, violations: list[str], labels: dict[str, SymbolicValue]) -> Case:
@@ -449,8 +451,10 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
     if taxonomy is None:
         raise DocumentValidationError(violations)
     if validate:
+        # The inline checks above have refused every field validate_case's
+        # type half reports, so only its semantic half runs.
         for cid in sorted(cases):
-            for message in validate_case(cases[cid], taxonomy, profiles):
+            for message in _semantic_violations(cases[cid], taxonomy, profiles):
                 violations.append(f"{_case_path(positions[cid])}: {message}")
     if violations:
         raise DocumentValidationError(violations)
@@ -485,15 +489,16 @@ def _encode_case(case: Case) -> dict:
 @_collector_paused()
 def encode_case_base(case_base: CaseBase) -> str:
     """Render a case base as its canonical document: same value in, same
-    bytes out. A case holding a descriptor field of the wrong type, which no
-    document can hold, raises ``DocumentValidationError`` with
-    :func:`validate_case`'s violations of that case; a well-typed case that
-    validation reports is written. The cyclic garbage collector is paused
-    while it runs, as in ``decode_case_base``."""
+    bytes out. A case that :func:`validate_case`'s type half reports, which
+    no document can hold, raises ``DocumentValidationError`` with those
+    violations, which are all that ``validate_case`` reports of it; a
+    well-typed case that validation reports is written. The cyclic garbage
+    collector is paused while it runs, as in ``decode_case_base``."""
     cases = [case_base.cases[cid] for cid in sorted(case_base.cases)]
     for case in cases:
-        if any(map(_wrong_types, case.descriptors.values())):
-            raise DocumentValidationError(validate_case(case, case_base.taxonomy, case_base.profiles))
+        wrong = _type_violations(case)
+        if wrong:
+            raise DocumentValidationError(wrong)
     doc = {
         "format_version": FORMAT_VERSION,
         "taxonomy": [

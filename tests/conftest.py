@@ -1,11 +1,24 @@
 from __future__ import annotations
 
 import os
+import warnings
 
 import pytest
 from hypothesis import settings
 
 from cbrdiag import CaseBase, decode_case_base
+
+# Hypothesis's pytest plugin imports this module when a property fails, to
+# print a patch for the falsifying example. Where libcst is installed, that
+# import raises a DeprecationWarning (mypy_extensions.TypedDict), which
+# ``-W error`` turns into an internal error of the whole session instead of
+# the failure's report. Imported here once, that warning alone is ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile("thorough", max_examples=200, deadline=None)
 settings.load_profile("thorough")

@@ -11,7 +11,9 @@ symbolic everywhere or has one fuzzy profile for the whole case base; every
 numeric descriptor has its id's profile and a magnitude inside the profile
 domain, and every label is a taxonomy node, unless the bundle is drawn with
 ``valid=False``: then some numerics have no profile, some lie just outside
-their profile's domain, and some labels are outside the taxonomy, so
+their profile's domain, some labels are outside the taxonomy, and some
+bundles hold one field of a type no document can hold (a bool magnitude, an
+int flag, or a state or solution action that is not a string), so
 ``validate`` may reject the case base.
 
 Schemas reach forty ids while a case records at most twelve, and usually a
@@ -30,6 +32,7 @@ from __future__ import annotations
 import copy
 import math
 import sys
+from dataclasses import replace
 from typing import Any, Iterator
 
 from hypothesis import strategies as st
@@ -212,6 +215,28 @@ def cases(
 
 
 @st.composite
+def mistyped(draw, case: Case) -> Case:
+    """``case`` with one field of a type no document can hold: a bool
+    magnitude, an int flag, a state that is not a string, or a solution
+    action that is not a string."""
+    fields = [(did, name) for did in sorted(case.descriptors) for name in ("flag", "state")]
+    fields += [(did, "magnitude") for did, d in sorted(case.descriptors.items()) if isinstance(d.value, NumericValue)]
+    if case.solution is not None:
+        fields.append(("", "action"))
+    did, name = draw(st.sampled_from(fields))
+    if name == "action":
+        return replace(case, solution=replace(case.solution, action=draw(st.sampled_from([None, 5]))))
+    d = case.descriptors[did]
+    if name == "magnitude":
+        d = replace(d, value=NumericValue(magnitude=draw(st.booleans()), unit=d.value.unit))
+    elif name == "flag":
+        d = replace(d, flags=ImperfectionFlags(imprecise=int(d.flags.imprecise), uncertain=d.flags.uncertain))
+    else:
+        d = replace(d, state=draw(st.sampled_from([1, 0.5])))
+    return replace(case, descriptors={**case.descriptors, did: d})
+
+
+@st.composite
 def case_bundles(
     draw, min_sources: int = 0, max_sources: int = 16, valid: bool = True
 ) -> tuple[CaseBase, Case]:
@@ -230,6 +255,11 @@ def case_bundles(
     for i in range(count):
         c = draw(cases(f"s{i}", CaseKind.SOURCE, schema, taxonomy, valid=valid, shared=shared))
         all_cases[c.id] = c
+    if not valid and draw(st.sampled_from([False, False, False, True])):
+        # The target always has a field to mistype.
+        cid = draw(st.sampled_from(sorted(all_cases)))
+        all_cases[cid] = draw(mistyped(all_cases[cid]))
+        target = all_cases[target.id]
     return CaseBase(taxonomy=taxonomy, profiles=profiles, cases=all_cases), target
 
 

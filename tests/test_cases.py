@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
+import platform
+import sys
 from dataclasses import replace
 
 import pytest
@@ -13,7 +17,9 @@ from cbrdiag import (
     DocumentValidationError,
     ImperfectionFlags,
     NumericValue,
+    OperatingMode,
     ScoringMode,
+    Solution,
     SymbolicValue,
     Taxonomy,
     align,
@@ -21,6 +27,7 @@ from cbrdiag import (
     retrieve,
     validate_case,
 )
+from cbrdiag.cases import _descriptor, _numeric_value
 from strategies import case_bundles
 
 
@@ -155,6 +162,97 @@ def test_validate_value_of_neither_kind():
     with pytest.raises(DocumentValidationError) as err:
         encode_case_base(base)
     assert err.value.violations == ["s/d: value 'oops' is neither symbolic nor numeric"]
+
+
+# A source's solution of the wrong type or with a field of the wrong type,
+# with the one violation validate_case reports for each. Flags of the wrong
+# type are among test_pipeline's WRONG_TYPES.
+_WRONG_SOLUTIONS = {
+    "action": (lambda c: replace(c, solution=Solution("Comp.", 5)), "source1/solution: action 5 is not a string"),
+    "failing-component": (
+        lambda c: replace(c, solution=Solution(None, "fix")),
+        "source1/solution: failing component None is not a string",
+    ),
+    "solution": (lambda c: replace(c, solution="Comp."), "source1/solution: 'Comp.' is not a Solution"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_SOLUTIONS))
+def test_validate_reports_wrongly_typed_solutions(engine_case_base, name):
+    # No document can hold these fields: validation reports each, and the
+    # encoder refuses the base with that report rather than write a
+    # document its own decoder would refuse.
+    change, message = _WRONG_SOLUTIONS[name]
+    bad = change(engine_case_base.cases["source1"])
+    assert validate_case(bad, engine_case_base.taxonomy, engine_case_base.profiles) == [message]
+    base = replace(engine_case_base, cases={**engine_case_base.cases, "source1": bad})
+    with pytest.raises(DocumentValidationError) as err:
+        encode_case_base(base)
+    assert err.value.violations == [message]
+
+
+def test_validate_reports_only_type_violations_of_a_wrongly_typed_case(engine_case_base):
+    # The semantic checks read each field as its declared type, so they run
+    # only on a case whose types pass; a key mismatch counts as a type fault.
+    source = engine_case_base.cases["source1"]
+    unknown = replace(source.descriptors["ds1"], value=SymbolicValue("warp drive"))
+    mismatched = replace(source.descriptors["ds5"], id="ds5b")
+    both = replace(source, descriptors={**source.descriptors, "ds1": unknown, "ds5": mismatched})
+    report = validate_case(both, engine_case_base.taxonomy, engine_case_base.profiles)
+    assert report == ["source1/ds5: descriptor id 'ds5b' does not match its key"]
+    semantic = replace(both, descriptors={**both.descriptors, "ds5": source.descriptors["ds5"]})
+    report = validate_case(semantic, engine_case_base.taxonomy, engine_case_base.profiles)
+    assert report == ["source1/ds1: unknown taxonomy label 'warp drive'"]
+
+
+# The decoder's builders, each with its arguments and the public constructor
+# it stands in for.
+_BUILDERS = {
+    "NumericValue": (_numeric_value, (90.0, "°C"), NumericValue),
+    "Descriptor": (
+        _descriptor,
+        ("ds1", "Pr", SymbolicValue("Comp."), "s1", OperatingMode.ABNORMAL, ImperfectionFlags(True, True)),
+        Descriptor,
+    ),
+    "Descriptor-defaults": (
+        _descriptor,
+        ("ds3", "T", NumericValue(90.0, "°C"), None, OperatingMode.UNSPECIFIED, ImperfectionFlags()),
+        Descriptor,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_decoders_builders_build_what_the_constructors_build(name):
+    # A decoded value must be indistinguishable from one built in code: the
+    # same type, eq, hash and repr, its fields in vars() in declaration
+    # order, frozen, and a valid input to replace().
+    build, args, cls = _BUILDERS[name]
+    built, constructed = build(*args), cls(*args)
+    assert type(built) is cls
+    assert built == constructed and hash(built) == hash(constructed)
+    assert repr(built) == repr(constructed)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(vars(built)) == list(vars(constructed)) == names
+    assert vars(built) == vars(constructed)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, names[0], "x")
+    assert replace(built, **{names[1]: "y"}) == replace(constructed, **{names[1]: "y"})
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info < (3, 11),
+    reason="instances keep their attributes without a dict object from CPython 3.11 on",
+)
+def test_constructed_values_hold_no_dict_of_their_own():
+    # Callers build targets and keep them; the public constructors must not
+    # give each instance a dict object of its own, as reading __dict__ in
+    # __init__ does. A value whose attributes sit in a dict refers to it.
+    value = NumericValue(90.0, "°C")
+    descriptor = Descriptor("ds3", "T", value, "s1", OperatingMode.NORMAL, ImperfectionFlags(imprecise=True))
+    for obj in (value, descriptor):
+        assert dict not in map(type, gc.get_referents(obj))
+    assert dict in map(type, gc.get_referents(_numeric_value(90.0, "°C")))
 
 
 def test_case_base_split(engine_case_base):

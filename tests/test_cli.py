@@ -20,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbrdiag import (
+    DocumentValidationError,
     ScoringContext,
     ScoringMode,
     adaptation_measure,
@@ -521,8 +522,12 @@ def test_cli_is_total(fixture_text, data):
     bundle = data.draw(st.booleans())
     if bundle:
         case_base, _ = data.draw(case_bundles(valid=data.draw(st.booleans())))
-        document = json.loads(encode_case_base(case_base))
-    else:
+        try:
+            document = json.loads(encode_case_base(case_base))
+        except DocumentValidationError:
+            # The base holds a field of a type no document can hold.
+            bundle = False
+    if not bundle:
         document = json.loads(fixture_text)
     if data.draw(st.booleans()):
         # Every command echoes case ids.

@@ -33,6 +33,7 @@ from cbrdiag import (
     encode_case_base,
     encode_outcome,
     retrieve,
+    validate_case,
 )
 from cbrdiag.cases import FLAG_VALUES
 from cbrdiag.codec import _dump, _encode_case, encode_explanation
@@ -355,6 +356,32 @@ def test_decode_peak_stays_near_the_parse_tree(fixture_text):
 def test_decode_inverts_encode(bundle):
     case_base, _ = bundle
     assert decode_case_base(encode_case_base(case_base)) == case_base
+
+
+@given(case_bundles(valid=False))
+def test_a_base_validates_iff_its_document_decodes(bundle):
+    # A drawn base passes validate_case for every case exactly when the
+    # validating decode of its encoding accepts it. The encoder refuses a
+    # case holding a field no document can hold, with validate_case's
+    # report of it; the decoder refuses every other case validate_case
+    # reports, with that report under the case's path. The decoder runs
+    # only the semantic checks, yet what it accepts equals the base.
+    case_base, _ = bundle
+    reports = [
+        validate_case(case_base.cases[cid], case_base.taxonomy, case_base.profiles) for cid in sorted(case_base.cases)
+    ]
+    try:
+        document = encode_case_base(case_base)
+    except DocumentValidationError as exc:
+        assert exc.violations and exc.violations in reports
+        return
+    violations = [v for report in reports for v in report]
+    if violations:
+        with pytest.raises(DocumentValidationError) as err:
+            decode_case_base(document)
+        assert [v.split(": ", 1)[1] for v in err.value.violations] == violations
+    else:
+        assert decode_case_base(document) == case_base
 
 
 @given(case_bundles())

@@ -307,28 +307,50 @@ def test_adders_add_each_pairs_phi_value(bundle):
                 assert {p: v.hex() for p, v in numerators.items()} == expected
 
 
+def _stock_twin(cls: type) -> type:
+    """A frozen dataclass with ``cls``'s name and fields, and the
+    constructor ``dataclass`` generates."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)],
+        frozen=True,
+    )
+
+
 @pytest.mark.parametrize(
     "row",
     [LocalScores("ds1", 0.5, 1, 1, 0, 0.0), AdaptationTerm("ds1", 2, 1, 0.5, 1.0)],
     ids=["LocalScores", "AdaptationTerm"],
 )
 def test_row_types_keep_the_dataclass_contract(row):
-    # The row types build their instances with their own __init__; it must
-    # take the declared fields in order and leave a frozen dataclass, since
-    # the codec reads rows through fields() and vars().
+    # The row types build their instances with their own __init__. It must
+    # take the declared fields in order, with their defaults, and leave what
+    # the generated one leaves: a frozen dataclass with the same eq, hash
+    # and repr, whose attribute dict holds the fields in order, since the
+    # codec reads rows through fields() and vars().
     cls = type(row)
-    names = [f.name for f in dataclasses.fields(cls)]
-    assert list(inspect.signature(cls).parameters) == names
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == names
+    assert [p.default for p in parameters.values()] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default for f in fields
+    ]
     values = [getattr(row, name) for name in names]
     by_keyword = cls(**dict(zip(names, values)))
     assert cls(*values) == by_keyword == row
-    assert hash(cls(*values)) == hash(by_keyword) == hash(row)
-    assert repr(by_keyword) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
-    changed = replace(row, descriptor_id="ds2")
-    assert changed.descriptor_id == "ds2" and changed != row
+    twin = _stock_twin(cls)(*values)
+    assert hash(cls(*values)) == hash(by_keyword) == hash(row) == hash(twin)
+    assert repr(by_keyword) == repr(twin)
+    required = len([f for f in fields if f.default is dataclasses.MISSING])
+    defaulted = cls(*values[:required])
+    assert defaulted == cls(**dict(zip(names[:required], values[:required])))
+    assert repr(defaulted) == repr(_stock_twin(cls)(*values[:required]))
+    changed = replace(row, **{names[0]: "ds2"})
+    assert getattr(changed, names[0]) == "ds2" and changed != row
     assert [getattr(changed, name) for name in names[1:]] == values[1:]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        row.descriptor_id = "ds2"
-    assert row.descriptor_id == "ds1"
-    assert vars(row) == dataclasses.asdict(row)
-    assert list(vars(row)) == names
+        setattr(row, names[0], "ds2")
+    assert getattr(row, names[0]) == values[0]
+    assert vars(row) == dict(zip(names, values))
+    assert list(vars(row)) == list(vars(defaulted)) == names

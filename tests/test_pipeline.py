@@ -266,21 +266,21 @@ def test_modes_agree_without_flags_and_numerics(bundle):
 
 @given(case_bundles(valid=False), top_ks())
 def test_validated_case_base_never_raises(bundle, top_k):
-    # Some numerics lack a profile or leave their domain: either validation
-    # rejects the case base, or both modes and diagnose run without raising,
-    # whatever top_k, even one past sys.maxsize.
+    # Some numerics lack a profile or leave their domain, and some fields
+    # are of the wrong type: either validation rejects the case base, and
+    # the encoder or the decoder refuses it, or both modes and diagnose run
+    # without raising, whatever top_k, even one past sys.maxsize.
     case_base, target = bundle
     violations = [
         violation
         for case in case_base.cases.values()
         for violation in validate_case(case, case_base.taxonomy, case_base.profiles)
     ]
-    document = encode_case_base(case_base)
     if violations:
         with pytest.raises(DocumentValidationError):
-            decode_case_base(document)
+            decode_case_base(encode_case_base(case_base))
         return
-    decoded = decode_case_base(document)
+    decoded = decode_case_base(encode_case_base(case_base))
     for mode in ScoringMode:
         retrieve(target, decoded, mode, top_k)
     diagnose(target, decoded, top_k)
@@ -467,6 +467,10 @@ WRONG_TYPES = {
     "bool-magnitude": ("ds3", {"value": NumericValue(magnitude=True, unit="°C")}, "magnitude True is not a number"),
     "unit": ("ds3", {"value": NumericValue(magnitude=90.0, unit=5)}, "unit 5 is not a string"),
     "name": ("ds1", {"name": 5}, "name 5 is not a string"),
+    # An int flag equals and hashes as its bool, but the document format
+    # holds only booleans.
+    "int-flag": ("ds1", {"flags": ImperfectionFlags(imprecise=1)}, "imprecise flag 1 is not a bool"),
+    "float-flag": ("ds1", {"flags": ImperfectionFlags(uncertain=0.0)}, "uncertain flag 0.0 is not a bool"),
 }
 
 
