@@ -243,27 +243,55 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: the one rule for every string the
+    model and its documents hold. A JSON escape can spell a lone surrogate,
+    and so can code; no output can encode one."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_string(wrong: list[str], what: str, value: object, not_a_string: str = "is not a string") -> None:
+    """Append what :func:`validate_case` reports of ``value``, the field
+    ``what``, to ``wrong`` if it is not a string a document can hold."""
+    if not isinstance(value, str):
+        wrong.append(f"{what} {value!r} {not_a_string}")
+    elif not _encodable(value):
+        wrong.append(f"{what} {value!r} is not a string UTF-8 can encode")
+
+
 def _wrong_types(d: Descriptor) -> list[str]:
     """What :func:`validate_case` reports, without the path, of each field
     of the descriptor that is not of its declared type (a bool magnitude is
-    not a number, an int flag is not a bool). No document holds one: the
-    decoder refuses each."""
-    wrong = []
-    if not isinstance(d.name, str):
-        wrong.append(f"name {d.name!r} is not a string")
+    not a number, an int flag is not a bool, a string UTF-8 cannot encode is
+    no string of a document). No document holds one: the decoder refuses
+    each."""
+    # An ASCII str passes; any other value goes to _check_string, which
+    # reports it or passes it (a non-ASCII string, a str subclass).
+    wrong: list[str] = []
+    if type(d.id) is not str or not d.id.isascii():
+        _check_string(wrong, "id", d.id)
+    if type(d.name) is not str or not d.name.isascii():
+        _check_string(wrong, "name", d.name)
     value = d.value
     if isinstance(value, SymbolicValue):
-        if not isinstance(value.label, str):
-            wrong.append(f"label {value.label!r} is not a string")
+        if type(value.label) is not str or not value.label.isascii():
+            _check_string(wrong, "label", value.label)
     elif isinstance(value, NumericValue):
         if isinstance(value.magnitude, bool) or not isinstance(value.magnitude, (float, int)):
             wrong.append(f"magnitude {value.magnitude!r} is not a number")
-        if not isinstance(value.unit, str):
-            wrong.append(f"unit {value.unit!r} is not a string")
+        if type(value.unit) is not str or not value.unit.isascii():
+            _check_string(wrong, "unit", value.unit)
     else:
         wrong.append(f"value {value!r} is neither symbolic nor numeric")
-    if d.state is not None and not isinstance(d.state, str):
-        wrong.append(f"state {d.state!r} is neither a string nor None")
+    state = d.state
+    if state is not None and (type(state) is not str or not state.isascii()):
+        _check_string(wrong, "state", state, "is neither a string nor None")
     if not isinstance(d.operating_mode, OperatingMode):
         wrong.append(f"operating mode {d.operating_mode!r} is not an OperatingMode")
     flags = d.flags
@@ -279,10 +307,12 @@ def _wrong_types(d: Descriptor) -> list[str]:
 
 def _type_violations(case: Case) -> list[str]:
     """The type half of :func:`validate_case`, what no document can hold:
-    per descriptor, in key order, an id that differs from its key and each
-    field :func:`_wrong_types` reports; then a solution that is not a
-    ``Solution`` or holds a field that is not a string."""
+    a case id that is not a string UTF-8 can encode; per descriptor, in key
+    order, an id that differs from its key and each field
+    :func:`_wrong_types` reports; then a solution that is not a
+    ``Solution`` or holds a field that is not a string UTF-8 can encode."""
     violations: list[str] = []
+    _check_string(violations, f"{case.id}: case id", case.id)
     for key in sorted(case.descriptors):
         d = case.descriptors[key]
         if d.id != key:
@@ -292,11 +322,8 @@ def _type_violations(case: Case) -> list[str]:
             violations.extend(f"{case.id}/{key}: {message}" for message in wrong)
     solution = case.solution
     if isinstance(solution, Solution):
-        component, action = solution.failing_component, solution.action
-        if not isinstance(component, str):
-            violations.append(f"{case.id}/solution: failing component {component!r} is not a string")
-        if not isinstance(action, str):
-            violations.append(f"{case.id}/solution: action {action!r} is not a string")
+        _check_string(violations, f"{case.id}/solution: failing component", solution.failing_component)
+        _check_string(violations, f"{case.id}/solution: action", solution.action)
     elif solution is not None:
         violations.append(f"{case.id}/solution: {solution!r} is not a Solution")
     return violations

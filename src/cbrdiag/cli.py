@@ -18,14 +18,7 @@ from typing import Optional, Sequence
 
 from . import codec
 from .cases import Case, CaseBase, CaseKind, validate_case
-from .errors import (
-    ConfigurationError,
-    DocumentSyntaxError,
-    DocumentValidationError,
-    FuzzyDomainError,
-    MissingProfileError,
-    UnknownLabelError,
-)
+from .errors import ConfigurationError, DocumentSyntaxError, DocumentValidationError
 from .measures import ScoringContext, ScoringMode, adaptation_measure, retrieval_measure
 from .pipeline import DiagnosisOutcome, _retrieve, diagnose, prepare_target
 
@@ -254,10 +247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_INVALID
-    except (UnknownLabelError, FuzzyDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ConfigurationError, MissingProfileError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

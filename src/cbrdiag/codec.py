@@ -17,8 +17,13 @@ its level. A list of rows of a type ``_FIELDS`` declares is written from one
 holds values of exactly its field's type, finite ones for floats; any other
 list of rows is written, or refused, as json does with the rows' attribute
 dicts. Only the containers that hold containers are walked in Python.
-Decoding never yields a partial case base; every problem is reported with
-the field path where it was found.
+
+A case-base document is decoded in one walk over its text with json's own
+scanner: each case is parsed and decoded in turn, and dropped, so the text,
+the base and one case's JSON are all a decode holds. Equal strings of the
+cases share one object per decode. Decoding never yields a partial case
+base; every problem is reported with the field path where it was found, as
+if the whole text had been parsed first.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .cases import (
     SymbolicValue,
     _collector_paused,
     _descriptor,
+    _encodable,
     _numeric_value,
     _semantic_violations,
     _type_violations,
@@ -85,12 +91,8 @@ def _get(obj: dict, key: str, path: str) -> Any:
 def _str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {type(value).__name__}")
-    # JSON escapes can spell lone surrogates, which no output can encode.
-    if not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            _fail(path, f"expected a string UTF-8 can encode, got {value!r}")
+    if not _encodable(value):
+        _fail(path, f"expected a string UTF-8 can encode, got {value!r}")
     return value
 
 
@@ -260,6 +262,24 @@ def _parse_json(text: str) -> Any:
         raise DocumentSyntaxError(f"document is not valid JSON: {exc}") from None
 
 
+# The document walk reads the text with json's own parts: its scanner (the C
+# one where the interpreter has _json), the string scanner for object keys,
+# and its whitespace rule.
+_parse_value = json.JSONDecoder().raw_decode
+_parse_key = json.decoder.scanstring
+_skip = json.decoder.WHITESPACE.match
+
+
+def _refuse(text: str, error: str) -> NoReturn:
+    """Raise what :func:`_parse_json` and ``_as_dict`` make of a document
+    the walk could not read: json's own error, or that of a top level that
+    is not an object. The walk's own ``error`` is raised only where json
+    reads what the walk could not, nesting near the recursion limit, which
+    each parse meets at its own depth of the stack."""
+    _as_dict(_parse_json(text), "$")
+    raise DocumentSyntaxError(f"document is not valid JSON: {error}")
+
+
 def _check_version(doc: dict) -> None:
     version = _get(doc, "format_version", "$")
     # A bool is an int to Python, and true == 1.
@@ -286,7 +306,9 @@ def _descriptor_path(c: int, i: int) -> str:
     return f"$.cases[{c}].descriptors[{i}]"
 
 
-def _decode_descriptor(value: Any, c: int, i: int, labels: dict[str, SymbolicValue]) -> Descriptor:
+def _decode_descriptor(
+    value: Any, c: int, i: int, labels: dict[str, SymbolicValue], strings: dict[str, str]
+) -> Descriptor:
     """Decode ``$.cases[{c}].descriptors[{i}]``, a descriptor object.
 
     Each field is checked inline, in the order id, name, value, state,
@@ -294,15 +316,18 @@ def _decode_descriptor(value: Any, c: int, i: int, labels: dict[str, SymbolicVal
     checker that owns it, with its path; the checker raises the error, or
     accepts the field (a non-ASCII string, an integer magnitude). So path
     strings are built only for errors. Symbolic values are taken from
-    ``labels``, one per label in a decode.
+    ``labels``, one per label in a decode, and the id, name, unit and state
+    from ``strings``, one object per distinct string.
     """
     obj = value if type(value) is dict else _as_dict(value, _descriptor_path(c, i))
     did = obj.get("id")
     if type(did) is not str or not did.isascii():
         did = _str(_get(obj, "id", _descriptor_path(c, i)), f"{_descriptor_path(c, i)}.id")
+    did = strings.setdefault(did, did)
     name = obj.get("name")
     if type(name) is not str or not name.isascii():
         name = _str(_get(obj, "name", _descriptor_path(c, i)), f"{_descriptor_path(c, i)}.name")
+    name = strings.setdefault(name, name)
     raw = obj.get("value")
     if type(raw) is not dict:
         raw = _as_dict(_get(obj, "value", _descriptor_path(c, i)), f"{_descriptor_path(c, i)}.value")
@@ -322,12 +347,14 @@ def _decode_descriptor(value: Any, c: int, i: int, labels: dict[str, SymbolicVal
         if type(unit) is not str or not unit.isascii():
             path = f"{_descriptor_path(c, i)}.value"
             unit = _str(_get(raw, "unit", path), f"{path}.unit")
-        decoded = _numeric_value(magnitude, unit)
+        decoded = _numeric_value(magnitude, strings.setdefault(unit, unit))
     else:
         _fail(f"{_descriptor_path(c, i)}.value", "expected a \"symbolic\" or \"numeric\" value")
     state = obj.get("state")
-    if state is not None and (type(state) is not str or not state.isascii()):
-        state = _str(state, f"{_descriptor_path(c, i)}.state")
+    if state is not None:
+        if type(state) is not str or not state.isascii():
+            state = _str(state, f"{_descriptor_path(c, i)}.state")
+        state = strings.setdefault(state, state)
     code = obj.get("operating_mode")
     try:
         mode = _OPERATING_MODES[code]
@@ -342,10 +369,12 @@ def _decode_descriptor(value: Any, c: int, i: int, labels: dict[str, SymbolicVal
     return _descriptor(did, name, decoded, state, mode, FLAG_VALUES[imprecise, uncertain])
 
 
-def _decode_case(value: Any, c: int, violations: list[str], labels: dict[str, SymbolicValue]) -> Case:
+def _decode_case(
+    value: Any, c: int, violations: list[str], labels: dict[str, SymbolicValue], strings: dict[str, str]
+) -> Case:
     """Decode ``$.cases[{c}]``, a case object, checking its fields inline in
     the order id, kind, descriptors, solution, as ``_decode_descriptor``
-    does."""
+    does; a solution's strings come from ``strings`` too."""
     obj = value if type(value) is dict else _as_dict(value, _case_path(c))
     case_id = obj.get("id")
     if type(case_id) is not str or not case_id.isascii():
@@ -361,7 +390,7 @@ def _decode_case(value: Any, c: int, violations: list[str], labels: dict[str, Sy
         records = _as_list(_get(obj, "descriptors", _case_path(c)), f"{_case_path(c)}.descriptors")
     descriptors: dict[str, Descriptor] = {}
     for i, rec in enumerate(records):
-        d = _decode_descriptor(rec, c, i, labels)
+        d = _decode_descriptor(rec, c, i, labels, strings)
         if d.id in descriptors:
             violations.append(f"{_descriptor_path(c, i)}.id: duplicate descriptor id {d.id!r}")
             continue
@@ -372,10 +401,89 @@ def _decode_case(value: Any, c: int, violations: list[str], labels: dict[str, Sy
         if type(solution) is dict:
             component, action = solution.get("failing_component"), solution.get("action")
         if type(component) is str and type(action) is str and component.isascii() and action.isascii():
-            solution = Solution(component, action)
+            solution = Solution(strings.setdefault(component, component), strings.setdefault(action, action))
         else:
             solution = _decode_row(Solution, solution, f"{_case_path(c)}.solution")
     return Case(case_id, kind, descriptors, solution)
+
+
+def _read_document(text: str) -> dict:
+    """``json.loads(text)`` for a document whose top level is an object,
+    except that a ``"cases"`` value that is an array is decoded by
+    :func:`_read_cases`, which the document keeps in its place. Every other
+    value is parsed whole; a key that repeats keeps its last value, as in
+    json. Text the walk cannot read goes to :func:`_refuse`."""
+    try:
+        i = _skip(text, 0).end()
+        if not text.startswith("{", i):
+            raise ValueError("expected an object")
+        doc = {}
+        i = _skip(text, i + 1).end()
+        if not text.startswith("}", i):
+            while True:
+                if not text.startswith('"', i):
+                    raise ValueError("expected a key")
+                key, i = _parse_key(text, i + 1)
+                i = _skip(text, i).end()
+                if not text.startswith(":", i):
+                    raise ValueError("expected ':'")
+                i = _skip(text, i + 1).end()
+                if key == "cases" and text.startswith("[", i):
+                    doc[key], i = _read_cases(text, i)
+                else:
+                    doc[key], i = _parse_value(text, i)
+                i = _skip(text, i).end()
+                if not text.startswith(",", i):
+                    break
+                i = _skip(text, i + 1).end()
+        if not text.startswith("}", i) or _skip(text, i + 1).end() != len(text):
+            raise ValueError("expected '}' and the end")
+    except (ValueError, RecursionError) as exc:  # json's errors are ValueErrors
+        error = str(exc)
+    else:
+        return doc
+    _refuse(text, error)
+
+
+def _read_cases(text: str, i: int) -> tuple[tuple, int]:
+    """Decode the ``"cases"`` array at ``text[i]`` one element at a time:
+    each is parsed, decoded and dropped before the next is parsed. Returns
+    the cases by id, their positions, the duplicate ids met and the message
+    of the first shape error or None, and where the array ends. After a
+    shape error the rest is only parsed, so that a JSON error anywhere still
+    wins. Equal labels share one ``SymbolicValue``, and equal strings one
+    ``str``, through two dicts that live as long as the call."""
+    labels: dict[str, SymbolicValue] = {}
+    strings: dict[str, str] = {}
+    cases: dict[str, Case] = {}
+    positions: dict[str, int] = {}
+    violations: list[str] = []
+    error = None
+    c = 0
+    i = _skip(text, i + 1).end()
+    if not text.startswith("]", i):
+        while True:
+            record, i = _parse_value(text, i)
+            if error is None:
+                try:
+                    case = _decode_case(record, c, violations, labels, strings)
+                except DocumentSyntaxError as exc:
+                    error = str(exc)
+                else:
+                    if case.id in cases:
+                        violations.append(f"{_case_path(c)}.id: duplicate case id {case.id!r}")
+                    else:
+                        cases[case.id] = case
+                        positions[case.id] = c
+            del record
+            c += 1
+            i = _skip(text, i).end()
+            if not text.startswith(",", i):
+                break
+            i = _skip(text, i + 1).end()
+    if not text.startswith("]", i):
+        raise ValueError("expected ']'")
+    return (cases, positions, violations, error), i + 1
 
 
 @_collector_paused()
@@ -390,8 +498,15 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
     query then validates its sources, which a validated base skips. The
     cyclic garbage collector is paused while it runs and left as the caller
     had it.
+
+    The text is walked once, decoding each case as it is parsed
+    (:func:`_read_document`); equal labels share one ``SymbolicValue`` and
+    equal strings of the cases one ``str``. The errors are those of the
+    parsed document's fields checked in the order format_version, taxonomy,
+    fuzzy_profiles, cases, wherever they stand in the text: a case's shape
+    error waits until the fields before it are checked.
     """
-    doc = _as_dict(_parse_json(text), "$")
+    doc = _read_document(text)
     _check_version(doc)
     violations: list[str] = []
 
@@ -434,19 +549,15 @@ def decode_case_base(text: str, validate: bool = True) -> CaseBase:
         except ValueError as exc:
             violations.append(f"{path}: {exc}")
 
-    cases: dict[str, Case] = {}
-    positions: dict[str, int] = {}
-    labels: dict[str, SymbolicValue] = {}
-    records = _as_list(_get(doc, "cases", "$"), "$.cases")
-    for c in range(len(records)):
-        case = _decode_case(records[c], c, violations, labels)
-        # Free this case's parsed JSON while the next one decodes.
-        records[c] = None
-        if case.id in cases:
-            violations.append(f"{_case_path(c)}.id: duplicate case id {case.id!r}")
-            continue
-        cases[case.id] = case
-        positions[case.id] = c
+    # A "cases" array was read by _read_cases; any other value, which json
+    # never parses into a tuple, is refused here.
+    read = _get(doc, "cases", "$")
+    if type(read) is not tuple:
+        _as_list(read, "$.cases")
+    cases, positions, case_violations, error = read
+    if error is not None:
+        raise DocumentSyntaxError(error)
+    violations += case_violations
 
     if taxonomy is None:
         raise DocumentValidationError(violations)

@@ -13,7 +13,8 @@ domain, and every label is a taxonomy node, unless the bundle is drawn with
 ``valid=False``: then some numerics have no profile, some lie just outside
 their profile's domain, some labels are outside the taxonomy, and some
 bundles hold one field of a type no document can hold (a bool magnitude, an
-int flag, or a state or solution action that is not a string), so
+int flag, or a state or solution action that is not a string, or is a
+string holding a lone surrogate, which UTF-8 cannot encode), so
 ``validate`` may reject the case base.
 
 Schemas reach forty ids while a case records at most twelve, and usually a
@@ -217,22 +218,22 @@ def cases(
 @st.composite
 def mistyped(draw, case: Case) -> Case:
     """``case`` with one field of a type no document can hold: a bool
-    magnitude, an int flag, a state that is not a string, or a solution
-    action that is not a string."""
+    magnitude, an int flag, or a state or solution action that is not a
+    string or holds a lone surrogate."""
     fields = [(did, name) for did in sorted(case.descriptors) for name in ("flag", "state")]
     fields += [(did, "magnitude") for did, d in sorted(case.descriptors.items()) if isinstance(d.value, NumericValue)]
     if case.solution is not None:
         fields.append(("", "action"))
     did, name = draw(st.sampled_from(fields))
     if name == "action":
-        return replace(case, solution=replace(case.solution, action=draw(st.sampled_from([None, 5]))))
+        return replace(case, solution=replace(case.solution, action=draw(st.sampled_from([None, 5, "fix\udfff"]))))
     d = case.descriptors[did]
     if name == "magnitude":
         d = replace(d, value=NumericValue(magnitude=draw(st.booleans()), unit=d.value.unit))
     elif name == "flag":
         d = replace(d, flags=ImperfectionFlags(imprecise=int(d.flags.imprecise), uncertain=d.flags.uncertain))
     else:
-        d = replace(d, state=draw(st.sampled_from([1, 0.5])))
+        d = replace(d, state=draw(st.sampled_from([1, 0.5, "s\ud800"])))
     return replace(case, descriptors={**case.descriptors, did: d})
 
 

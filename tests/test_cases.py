@@ -174,6 +174,10 @@ _WRONG_SOLUTIONS = {
         "source1/solution: failing component None is not a string",
     ),
     "solution": (lambda c: replace(c, solution="Comp."), "source1/solution: 'Comp.' is not a Solution"),
+    "surrogate-action": (
+        lambda c: replace(c, solution=Solution("Comp.", "fix\ud800")),
+        "source1/solution: action 'fix\\ud800' is not a string UTF-8 can encode",
+    ),
 }
 
 
@@ -189,6 +193,25 @@ def test_validate_reports_wrongly_typed_solutions(engine_case_base, name):
     with pytest.raises(DocumentValidationError) as err:
         encode_case_base(base)
     assert err.value.violations == [message]
+
+
+def test_validate_reports_ids_utf8_cannot_encode(engine_case_base):
+    # A case id and a descriptor id are strings of a document too: one that
+    # holds a lone surrogate is reported, and the encoder refuses it.
+    source = engine_case_base.cases["source1"]
+    key = "ds1\ud800"
+    descriptors = {k: d for k, d in source.descriptors.items() if k != "ds1"}
+    descriptors[key] = replace(source.descriptors["ds1"], id=key)
+    bad = replace(source, id="source1\udfff", descriptors=descriptors)
+    expected = [
+        "source1\udfff: case id 'source1\\udfff' is not a string UTF-8 can encode",
+        "source1\udfff/ds1\ud800: id 'ds1\\ud800' is not a string UTF-8 can encode",
+    ]
+    assert validate_case(bad, engine_case_base.taxonomy, engine_case_base.profiles) == expected
+    cases = {cid: c for cid, c in engine_case_base.cases.items() if cid != "source1"}
+    with pytest.raises(DocumentValidationError) as err:
+        encode_case_base(replace(engine_case_base, cases={**cases, bad.id: bad}))
+    assert err.value.violations == expected
 
 
 def test_validate_reports_only_type_violations_of_a_wrongly_typed_case(engine_case_base):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from cbrdiag import (
 from cbrdiag.cases import FLAG_VALUES
 from cbrdiag.codec import _dump, _encode_case, encode_explanation
 from cbrdiag.measures import AdaptationResult, AdaptationTerm, LocalScores, RetrievalResult
-from strategies import case_bundles, json_items, single_field_mutations, wide_text
+from strategies import JSON_VALUES, case_bundles, json_items, single_field_mutations, wide_text
 
 
 def test_fixture_decodes(engine_case_base):
@@ -329,19 +330,30 @@ def test_decoded_symbolic_values_are_shared_per_label(engine_case_base):
     assert all(len(ids) == 1 for ids in objects.values())
 
 
-def _traced_peak(call, *args) -> int:
-    """The most memory ``call(*args)`` held at once, in traced bytes."""
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_decoded_strings_are_shared(engine_case_base):
+    # Within a decode, equal descriptor ids, names, units and states, and
+    # solution strings, are one object each, as labels share one
+    # SymbolicValue.
+    objects: dict[str, set[int]] = {}
+    count = 0
+    for case in engine_case_base.cases.values():
+        strings = [] if case.solution is None else [case.solution.failing_component, case.solution.action]
+        for key, d in case.descriptors.items():
+            strings += [key, d.id, d.name, d.state]
+            if isinstance(d.value, NumericValue):
+                strings.append(d.value.unit)
+        for string in strings:
+            if string is not None:
+                objects.setdefault(string, set()).add(id(string))
+                count += 1
+    assert count > 2 * len(objects)
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
-def test_decode_peak_stays_near_the_parse_tree(fixture_text):
-    # Each case's parsed JSON is freed once its case is built, so a decode
-    # never holds the whole parse tree and the whole decoded base at once.
+def test_decode_peak_stays_near_the_base(fixture_text):
+    # Each case is parsed, decoded and dropped before the next is parsed,
+    # so a decode never holds a parse tree of the document beside the base
+    # it builds: its peak is about what the base retains.
     document = json.loads(fixture_text)
     cases = document["cases"]
     document["cases"] = [c for c in cases if c["kind"] == "target"] + [
@@ -349,7 +361,14 @@ def test_decode_peak_stays_near_the_parse_tree(fixture_text):
     ]
     assert len(document["cases"]) == 211
     text = json.dumps(document)
-    assert _traced_peak(decode_case_base, text) <= 1.15 * _traced_peak(json.loads, text)
+    tracemalloc.start()
+    try:
+        case_base = decode_case_base(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(case_base.cases) == 211
+    assert peak <= 1.15 * retained
 
 
 @given(case_bundles())
@@ -710,6 +729,139 @@ def test_single_field_mutation_fails_only_as_a_document_error(fixture_text, data
         for mode in ScoringMode:
             retrieve(target, case_base, mode, 3)
         diagnose(target, case_base)
+
+
+def _decoded(text: str):
+    """What decoding ``text`` gives: the case base, or the error's class
+    name and message."""
+    try:
+        return decode_case_base(text)
+    except (DocumentSyntaxError, DocumentValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _documents(draw, fixture_text: str) -> dict:
+    """The fixture's document or a drawn base's, with up to two single-field
+    mutations, so that faults of every kind, and pairs of them, occur."""
+    if draw(st.booleans()):
+        document = json.loads(fixture_text)
+    else:
+        document = json.loads(encode_case_base(draw(case_bundles(max_sources=4))[0]))
+    for _ in range(draw(st.integers(0, 2))):
+        document = draw(single_field_mutations(document))
+    return document
+
+
+_GAPS = st.lists(st.text(" \t\n\r", max_size=3), min_size=1, max_size=4)
+
+
+def _spaced(value, gaps) -> str:
+    """``value`` as JSON with the next of ``gaps`` around every token."""
+    if isinstance(value, dict):
+        return _spaced_object(list(value.items()), gaps)
+    if isinstance(value, list):
+        return _enclosed("[]", [_spaced(v, gaps) for v in value], gaps)
+    return json.dumps(value)
+
+
+def _spaced_object(pairs: list, gaps) -> str:
+    """An object of ``pairs`` as :func:`_spaced` writes it, keys repeated
+    as they come."""
+    return _enclosed("{}", [json.dumps(k) + next(gaps) + ":" + next(gaps) + _spaced(v, gaps) for k, v in pairs], gaps)
+
+
+def _enclosed(brackets: str, items: list[str], gaps) -> str:
+    return brackets[0] + next(gaps) + (next(gaps) + "," + next(gaps)).join(items) + next(gaps) + brackets[1]
+
+
+@given(st.data())
+def test_every_layout_of_a_document_decodes_alike(fixture_text, data):
+    # The decoder walks the text's top-level object and decodes each case
+    # as the walk meets it, but what it reports is what it would report of
+    # the parsed document: the same base, or the same first error, with
+    # "cases" first (the canonical order) or last, in any key order, after
+    # earlier values of repeated keys, and with any JSON whitespace
+    # between tokens.
+    document = data.draw(_documents(fixture_text))
+    expected = _decoded(json.dumps(document, sort_keys=True))
+    cases_last = sorted(document, key=lambda k: (k == "cases", k))
+    assert _decoded(json.dumps({k: document[k] for k in cases_last})) == expected
+    pairs = data.draw(st.permutations(list(document.items())))
+    for key in data.draw(st.lists(st.sampled_from(sorted(document)), max_size=3)):
+        # An earlier value of a key, which its last one replaces.
+        last = max(i for i, (k, _) in enumerate(pairs) if k == key)
+        pairs.insert(data.draw(st.integers(0, last)), (key, data.draw(JSON_VALUES)))
+    gaps = itertools.cycle(data.draw(_GAPS))
+    assert _decoded(next(gaps) + _spaced_object(pairs, gaps) + next(gaps)) == expected
+
+
+@given(st.data())
+def test_text_json_refuses_is_refused_with_jsons_error(fixture_text, data):
+    # A text cut short, with a character inserted, with data after the
+    # document or with a byte-order mark is refused with json's own error,
+    # wherever in the text it stands; if json reads it, so does the decoder.
+    document = data.draw(_documents(fixture_text))
+    text = json.dumps(document, sort_keys=True, indent=data.draw(st.sampled_from([None, 2])))
+    fault = data.draw(st.sampled_from(["truncate", "insert", "trail", "bom"]))
+    if fault == "truncate":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    elif fault == "insert":
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from('{}[]",:0-e\\ \x00') | st.characters()) + text[at:]
+    elif fault == "trail":
+        text += data.draw(st.sampled_from(["x", "{}", "]", ",", " 1", "\x00", "\n"]))
+    else:
+        text = "\ufeff" + text
+    try:
+        parsed = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        assert _decoded(text) == ("DocumentSyntaxError", f"document is not valid JSON: {exc}")
+    else:
+        assert _decoded(text) == _decoded(json.dumps(parsed))
+
+
+# Faults the decoder checks before the cases' shapes, each with a change to
+# the fixture's document.
+_EARLIER_FAULTS = {
+    "version": lambda doc: doc.update(format_version=2),
+    "no-taxonomy": lambda doc: doc.pop("taxonomy"),
+    "taxonomy-shape": lambda doc: doc["taxonomy"][0].update(name=5),
+    "profile-shape": lambda doc: doc["fuzzy_profiles"][0].update(domain_lower="low"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EARLIER_FAULTS))
+def test_earlier_faults_win_over_a_case_shape_met_first(fixture_text, name):
+    # Canonical documents hold "cases" first, so the walk meets a case's
+    # shape error before the fields checked ahead of the cases: it reports
+    # theirs, as a decode of the parsed document does.
+    document = json.loads(fixture_text)
+    _EARLIER_FAULTS[name](document)
+    alone = _decoded(json.dumps(document, sort_keys=True))
+    assert alone[0] == "DocumentSyntaxError"
+    document["cases"][1]["descriptors"] = {}
+    assert _decoded(json.dumps(document, sort_keys=True)) == alone
+
+
+def test_a_case_shape_wins_over_violations_and_duplicates_follow_them(fixture_text):
+    # A case's shape error wins over the taxonomy's and the profiles'
+    # violations; duplicate ids are reported after those violations.
+    document = json.loads(fixture_text)
+    document["taxonomy"].append({"name": "second root", "parent": None})
+    document["fuzzy_profiles"].append(document["fuzzy_profiles"][0])
+    document["cases"].append(document["cases"][0])
+    with pytest.raises(DocumentValidationError) as excinfo:
+        decode_case_base(json.dumps(document, sort_keys=True))
+    violations = excinfo.value.violations
+    assert [v.split(":", 1)[0] for v in violations[:3]] == [
+        "$.taxonomy",
+        "$.fuzzy_profiles[1].descriptor_id",
+        "$.cases[4].id",
+    ]
+    document["cases"][2]["kind"] = "neither"
+    with pytest.raises(DocumentSyntaxError, match=r"^\$\.cases\[2\]\.kind: "):
+        decode_case_base(json.dumps(document, sort_keys=True))
 
 
 # Replacements for the single-fault error-text golden: a value of each JSON

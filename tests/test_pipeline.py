@@ -467,6 +467,20 @@ WRONG_TYPES = {
     "bool-magnitude": ("ds3", {"value": NumericValue(magnitude=True, unit="°C")}, "magnitude True is not a number"),
     "unit": ("ds3", {"value": NumericValue(magnitude=90.0, unit=5)}, "unit 5 is not a string"),
     "name": ("ds1", {"name": 5}, "name 5 is not a string"),
+    # A lone surrogate is a str, but no document can hold one: UTF-8
+    # cannot encode it.
+    "surrogate-name": ("ds1", {"name": "bad\ud800"}, "name 'bad\\ud800' is not a string UTF-8 can encode"),
+    "surrogate-label": (
+        "ds1",
+        {"value": SymbolicValue(label="Comp.\udfff")},
+        "label 'Comp.\\udfff' is not a string UTF-8 can encode",
+    ),
+    "surrogate-unit": (
+        "ds3",
+        {"value": NumericValue(magnitude=90.0, unit="\ud800C")},
+        "unit '\\ud800C' is not a string UTF-8 can encode",
+    ),
+    "surrogate-state": ("ds1", {"state": "s1\ud800"}, "state 's1\\ud800' is not a string UTF-8 can encode"),
     # An int flag equals and hashes as its bool, but the document format
     # holds only booleans.
     "int-flag": ("ds1", {"flags": ImperfectionFlags(imprecise=1)}, "imprecise flag 1 is not a bool"),
